@@ -588,8 +588,7 @@ void bench_backends(Harness& harness) {
   std::vector<double> dct_tmp(static_cast<std::size_t>(dct_volume));
 
   for (kernels::Backend backend :
-       {kernels::Backend::kScalar, kernels::Backend::kAvx2,
-        kernels::Backend::kNeon}) {
+       {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
     if (!kernels::backend_available(backend)) continue;
     kernels::set_backend(backend);
     const kernels::KernelTable& table = kernels::active();
@@ -692,12 +691,6 @@ int main(int argc, char** argv) {
   // root never clobbers the committed BENCH_kernels.json baseline; pass the
   // path explicitly when refreshing the baseline itself.
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_kernels.local.json";
-
-  // Pin the host-independent dispatch policy: the autotune probe can flip
-  // borderline sizes between hosts (or under load), which would change which
-  // (name, impl) entries exist run to run and break baseline comparison.
-  // The kAuto-vs-kDense timings below measure the kernels, not the policy.
-  kernels::set_fast_axis_policy(kernels::FastAxisPolicy::kFixed);
 
   Harness harness;
   bench_transforms(harness);

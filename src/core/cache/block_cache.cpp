@@ -85,9 +85,9 @@ std::shared_ptr<std::vector<double>> BlockCache::allocate_buffer() const {
   }
 }
 
-void BlockCache::evict_until_locked(Shard& shard, index_t headroom) {
+void BlockCache::evict_for_insert_locked(Shard& shard) {
   static telemetry::Counter& evictions = telemetry::counter("cache.evictions");
-  while (static_cast<index_t>(shard.entries.size()) - shard.dirty + headroom >
+  while (static_cast<index_t>(shard.entries.size()) - shard.dirty + 1 >
          shard.capacity) {
     auto victim = shard.entries.end();
     std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
@@ -143,7 +143,7 @@ BlockCache::DecodedBlockRef BlockCache::fetch(index_t kb, const FillFn& fill) {
   }
   misses.increment();
   misses_.fetch_add(1, std::memory_order_relaxed);
-  evict_until_locked(shard, 1);
+  evict_for_insert_locked(shard);
   auto [pos, inserted] =
       shard.entries.emplace(kb, Entry{std::move(buffer), ++shard.tick, false});
   return DecodedBlockRef(pos->second.data);
@@ -216,16 +216,17 @@ index_t BlockCache::flush(const WritebackFn& writeback) {
       if (entry.dirty) dirty_kbs.push_back(kb);
     std::sort(dirty_kbs.begin(), dirty_kbs.end());
     for (index_t kb : dirty_kbs) {
-      Entry& entry = shard.entries.find(kb)->second;
-      writeback(kb, entry.data->data());
-      entry.dirty = false;
+      auto it = shard.entries.find(kb);
+      writeback(kb, it->second.data->data());
+      // The buffer holds the written values, not what the archive now
+      // decodes to (encode∘decode is lossy), so it must not serve reads:
+      // drop it, and the next access decodes the re-encoded block.
+      shard.entries.erase(it);
       --shard.dirty;
       ++written;
       writebacks.increment();
       writebacks_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Previously pinned blocks are clean now; trim back to capacity.
-    evict_until_locked(shard, 0);
   }
   return written;
 }

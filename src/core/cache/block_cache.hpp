@@ -101,8 +101,9 @@ class BlockCache {
   void write(index_t kb, const FillFn& fill, const MutateFn& mutate);
 
   /// Re-encode every dirty block via @p writeback (ascending block index
-  /// within each shard), mark them clean, then trim each shard back to its
-  /// capacity.  Returns the number of blocks written back.
+  /// within each shard), then drop it from the cache, so the next access
+  /// decodes the re-encoded archive block.  Returns the number of blocks
+  /// written back.
   index_t flush(const WritebackFn& writeback);
 
   /// Drop every entry, including dirty ones (their writes are lost).
@@ -144,10 +145,9 @@ class BlockCache {
     return shards_[static_cast<std::size_t>(kb) % shards_.size()];
   }
   std::shared_ptr<std::vector<double>> allocate_buffer() const;
-  /// Evict LRU clean entries until the shard's clean population plus
-  /// @p headroom fits its capacity (caller holds the shard lock; headroom 1
-  /// makes room for one insert, headroom 0 trims after a flush).
-  void evict_until_locked(Shard& shard, index_t headroom);
+  /// Evict LRU clean entries until one more clean entry fits the shard's
+  /// capacity (caller holds the shard lock).
+  void evict_for_insert_locked(Shard& shard);
 
   index_t capacity_;
   index_t block_volume_;

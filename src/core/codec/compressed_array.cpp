@@ -39,14 +39,6 @@ struct DecodeState {
 
 namespace {
 
-void require_clean(const CompressedArray& array, const char* what) {
-  if (array.dirty_cached_blocks() > 0)
-    throw std::logic_error(
-        std::string(what) +
-        " a compressed array with unflushed dirty cached blocks; call "
-        "flush_cache() first");
-}
-
 /// Decode block @p kb with a local cursor/scratch workspace.  The cache fill
 /// path uses this: fills run outside the shard locks, possibly from several
 /// threads at once, so the workspace cannot be shared.
@@ -97,12 +89,12 @@ CompressedArray::CompressedArray(const CompressedArray& other)
       mask(other.mask),
       biggest(other.biggest),
       indices(other.indices) {
-  require_clean(other, "copying");
+  other.require_flushed("CompressedArray copy");
 }
 
 CompressedArray& CompressedArray::operator=(const CompressedArray& other) {
   if (this == &other) return *this;
-  require_clean(other, "copy-assigning from");
+  other.require_flushed("CompressedArray copy-assignment");
   shape = other.shape;
   block_shape = other.block_shape;
   float_type = other.float_type;
@@ -332,6 +324,13 @@ index_t CompressedArray::cached_blocks() const {
 index_t CompressedArray::dirty_cached_blocks() const {
   auto state = decode_state_.load(std::memory_order_acquire);
   return state && state->block_cache ? state->block_cache->dirty_blocks() : 0;
+}
+
+void CompressedArray::require_flushed(const char* op) const {
+  if (dirty_cached_blocks() > 0)
+    throw std::logic_error(std::string(op) +
+                           ": compressed array has unflushed dirty cached "
+                           "blocks; call flush_cache() first");
 }
 
 cache::BlockCache* CompressedArray::block_cache() const {

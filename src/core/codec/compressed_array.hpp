@@ -133,6 +133,13 @@ class CompressedArray {
   index_t cached_blocks() const;
   index_t dirty_cached_blocks() const;
 
+  /// The precondition of every path that reads the raw archive fields
+  /// (biggest/indices) without going through the cache: copies,
+  /// serialization, Compressor::decompress, and every ops:: operation.
+  /// Throws std::logic_error naming @p op when dirty cached blocks hold
+  /// writes the archive fields don't reflect yet (call flush_cache()).
+  void require_flushed(const char* op) const;
+
   /// The attached cache, or nullptr when disabled or not yet created.
   /// Exposed for tests and benchmarks.
   cache::BlockCache* block_cache() const;

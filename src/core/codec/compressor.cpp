@@ -162,10 +162,7 @@ NDArray<double> Compressor::decompress(const CompressedArray& array) const {
       array.transform != settings_.transform)
     throw std::invalid_argument(
         "Compressor::decompress: array was compressed with different settings");
-  if (array.dirty_cached_blocks() > 0)
-    throw std::logic_error(
-        "Compressor::decompress: array has unflushed dirty cached blocks; "
-        "call flush_cache() first");
+  array.require_flushed("Compressor::decompress");
 
   static telemetry::Counter& calls =
       telemetry::counter("codec.decompress.calls");

@@ -280,20 +280,11 @@ void store_le32(std::vector<std::uint8_t>& out, std::size_t pos,
 /// themselves are byte-identical to v2's (pinned by
 /// tests/test_serialization.cpp), so the checksums are pure overhead —
 /// measured in the `checksums[]` bench section.
-/// Serializing an archive whose decoded-block cache holds unflushed writes
-/// would persist bytes the caller no longer means: the writes live only in
-/// the cache until flush_cache() re-encodes them.  A caller bug, not a data
-/// fault, so logic_error rather than cc::Error.
-void require_flushed(const CompressedArray& array) {
-  if (array.dirty_cached_blocks() > 0)
-    throw std::logic_error(
-        "serialize: compressed array has unflushed dirty cached blocks; call "
-        "flush_cache() first");
-}
-
 std::vector<std::uint8_t> serialize_chunked(const CompressedArray& array,
                                             bool checksummed) {
-  require_flushed(array);
+  // Unflushed cached writes are a caller bug, not a data fault: logic_error
+  // rather than cc::Error.
+  array.require_flushed("serialize");
   const ChunkLayout layout = ChunkLayout::plan(array);
 
   // Header: magic, shared metadata, chunk table.  The per-chunk byte offsets
@@ -515,7 +506,7 @@ CompressedArray deserialize_any(const std::vector<std::uint8_t>& bytes) {
 }  // namespace
 
 std::vector<std::uint8_t> serialize_v1(const CompressedArray& array) {
-  require_flushed(array);
+  array.require_flushed("serialize");
   BitWriter writer;
   write_header(writer, array);
 

@@ -33,9 +33,8 @@ struct CompressorSettings {
   /// kernels where available, kDense forces the dense matrix apply.  A
   /// performance knob only — it does not affect the compressed format, and
   /// arrays produced by either implementation interoperate.  Which axes
-  /// kAuto considers "available" is decided by kernels::fast_axis_preferred
-  /// (autotuned per host by default; pin with PYBLAZ_FAST_AXIS=fixed or
-  /// kernels::set_fast_axis_policy for host-independent dispatch).
+  /// kAuto considers "available" is decided by kernels::fast_axis_preferred,
+  /// a fixed host-independent heuristic.
   TransformImpl transform_impl = TransformImpl::kAuto;
 
   /// Pruning mask; std::nullopt means keep all coefficients.

@@ -59,12 +59,6 @@ bool cpu_supports(Backend backend) {
 #else
       return false;
 #endif
-    case Backend::kNeon:
-#if defined(__aarch64__)
-      return true;  // AdvSIMD is architecturally mandatory on AArch64.
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -75,16 +69,12 @@ const KernelTable* table_for(Backend backend) {
       return &internal::scalar_table();
     case Backend::kAvx2:
       return internal::avx2_table();
-    case Backend::kNeon:
-      return internal::neon_table();
   }
   return nullptr;
 }
 
 Backend best_available() {
-  if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_available(Backend::kNeon)) return Backend::kNeon;
-  return Backend::kScalar;
+  return backend_available(Backend::kAvx2) ? Backend::kAvx2 : Backend::kScalar;
 }
 
 /// Resolved once, before any codec work: CC_KERNEL_BACKEND wins when it
@@ -103,7 +93,7 @@ struct DispatchState {
       if (bad) {
         std::fprintf(stderr,
                      "pyblaz: CC_KERNEL_BACKEND=\"%s\" is not a known backend "
-                     "(scalar|avx2|neon); using scalar kernels\n",
+                     "(scalar|avx2); using scalar kernels\n",
                      env);
         chosen = Backend::kScalar;
       } else if (!backend_available(requested)) {
@@ -239,8 +229,6 @@ const char* backend_name(Backend backend) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -250,7 +238,6 @@ Backend parse_backend_name(const char* value, bool* bad) {
   if (value != nullptr) {
     if (std::strcmp(value, "scalar") == 0) return Backend::kScalar;
     if (std::strcmp(value, "avx2") == 0) return Backend::kAvx2;
-    if (std::strcmp(value, "neon") == 0) return Backend::kNeon;
   }
   if (bad) *bad = true;
   return Backend::kScalar;

@@ -16,13 +16,13 @@ namespace pyblaz::kernels {
 /// (docs/PERF.md, "SIMD backends", spells out the reduction-tree contract
 /// that makes this possible).  The table is resolved exactly once, before
 /// main() runs any codec work: by default the best backend the CPU supports,
-/// overridable with CC_KERNEL_BACKEND=scalar|avx2|neon (an unrecognized or
+/// overridable with CC_KERNEL_BACKEND=scalar|avx2 (an unrecognized or
 /// unavailable value warns on stderr and falls back to scalar) or
 /// programmatically with set_backend().  Hot paths hoist `const KernelTable&
 /// t = active()` once per operation, so dispatch costs one atomic load per
 /// block loop, not per element or per call.
 
-enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 /// One entry of the 2-symbol Huffman decode LUT (see szx/huffman.hpp):
 /// indexed by the next 8 stream bits, it resolves up to two complete codes
@@ -62,7 +62,7 @@ struct BinKernels {
 /// A complete kernel backend.  Every slot is non-null in every table; slots a
 /// backend does not accelerate point at the scalar implementation (e.g. the
 /// int64 bin type, whose 2^53 arithmetic radius exceeds what packed
-/// double<->int32 conversion covers, stays scalar in the AVX2/NEON tables).
+/// double<->int32 conversion covers, stays scalar in the AVX2 table).
 struct KernelTable {
   const char* name;
 
@@ -134,7 +134,7 @@ bool backend_available(Backend backend);
 /// work; intended for startup configuration, tests, and benchmarks.
 bool set_backend(Backend backend);
 
-/// Display name ("scalar", "avx2", "neon").
+/// Display name ("scalar", "avx2").
 const char* backend_name(Backend backend);
 
 /// Parse a CC_KERNEL_BACKEND value.  Unrecognized values return kScalar and

@@ -2,18 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <numbers>
 #include <stdexcept>
 #include <string>
-#include <vector>
-
-#include "core/transform/dct.hpp"
-#include "core/transform/haar.hpp"
 
 namespace pyblaz::kernels {
 
@@ -377,119 +369,13 @@ bool fast_axis_supported(TransformKind kind, index_t n) {
   return false;
 }
 
-namespace {
-
-/// The pre-measured host-independent heuristic (FastAxisPolicy::kFixed):
-/// the dense matrix apply has compile-time trip counts and no inter-level
-/// copies, so it wins on very short Haar axes where the butterfly's level
-/// overhead dominates (measured in bench/micro_kernels.cpp).
-bool fixed_axis_preferred(TransformKind kind, index_t n) {
-  if (kind == TransformKind::kHaar) return n == 1 || n >= 8;
-  return true;
-}
-
-FastAxisPolicy initial_policy() {
-  if (const char* env = std::getenv("PYBLAZ_FAST_AXIS")) {
-    if (std::strcmp(env, "fixed") == 0) return FastAxisPolicy::kFixed;
-    if (std::strcmp(env, "autotune") == 0) return FastAxisPolicy::kAutotune;
-  }
-  return FastAxisPolicy::kAutotune;
-}
-
-std::atomic<FastAxisPolicy> g_fast_axis_policy{initial_policy()};
-
-/// Seconds for the fastest of three timed repetitions of @p op.
-template <typename Op>
-double best_of_three(Op&& op) {
-  double best = 1e300;
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto t0 = std::chrono::steady_clock::now();
-    op();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-/// One-shot startup micro-probe: for every factorizable axis length, time
-/// the factorized kernel against the dense matrix apply and cache which one
-/// won.  The workload covers the shapes dispatch actually sees — forward and
-/// inverse, a contiguous (inner = 1) panel and a strided (inner = 16) one —
-/// because the fast/dense ratio differs between them.  The measurement only
-/// *overrides* the fixed heuristic on a decisive >25% total-time win, so a
-/// borderline size never flips between runs (or processes) on timer noise:
-/// absent a decisive verdict, dispatch equals FastAxisPolicy::kFixed.
-struct AxisProbeTable {
-  // prefer_fast[kind][log2(n)], probed up to n = 128; longer Haar axes reuse
-  // the n = 128 verdict (the butterfly's advantage only grows with n).
-  static constexpr int kMaxLog2 = 7;
-  bool prefer_fast[2][kMaxLog2 + 1] = {};
-
-  AxisProbeTable() {
-    for (TransformKind kind : {TransformKind::kDCT, TransformKind::kHaar}) {
-      for (int log2n = 1; log2n <= kMaxLog2; ++log2n) {
-        const index_t n = index_t{1} << log2n;
-        if (!fast_axis_supported(kind, n)) continue;
-        const std::vector<double> matrix =
-            kind == TransformKind::kDCT ? dct_matrix(static_cast<int>(n))
-                                        : haar_matrix(static_cast<int>(n));
-        double fast_seconds = 0.0, dense_seconds = 0.0;
-        for (index_t inner : {index_t{1}, index_t{16}}) {
-          const index_t outer = std::max<index_t>(1, 4096 / (n * inner));
-          std::vector<double> data(
-              static_cast<std::size_t>(outer * n * inner), 1.0);
-          std::vector<double> scratch(data.size());
-          for (bool forward : {true, false}) {
-            // ~8 passes per trial keeps the whole probe around a millisecond
-            // while staying well above timer resolution.
-            fast_seconds += best_of_three([&] {
-              for (int rep = 0; rep < 8; ++rep)
-                fast_transform_axis(kind, data.data(), scratch.data(), n,
-                                    outer, inner, forward);
-            });
-            dense_seconds += best_of_three([&] {
-              for (int rep = 0; rep < 8; ++rep)
-                dense_transform_axis(data.data(), scratch.data(),
-                                     matrix.data(), n, outer, inner, forward);
-            });
-          }
-        }
-        const bool fixed_default = fixed_axis_preferred(kind, n);
-        prefer_fast[static_cast<int>(kind)][log2n] =
-            fixed_default ? !(dense_seconds * 1.25 < fast_seconds)
-                          : fast_seconds * 1.25 < dense_seconds;
-      }
-    }
-  }
-
-  bool preferred(TransformKind kind, index_t n) const {
-    int log2n = 0;
-    while ((index_t{1} << (log2n + 1)) <= n && log2n + 1 <= kMaxLog2) ++log2n;
-    return prefer_fast[static_cast<int>(kind)][log2n];
-  }
-};
-
-bool autotuned_axis_preferred(TransformKind kind, index_t n) {
-  static const AxisProbeTable table;  // Probes once, thread-safe.
-  return table.preferred(kind, n);
-}
-
-}  // namespace
-
-void set_fast_axis_policy(FastAxisPolicy policy) {
-  g_fast_axis_policy.store(policy, std::memory_order_relaxed);
-}
-
-FastAxisPolicy fast_axis_policy() {
-  return g_fast_axis_policy.load(std::memory_order_relaxed);
-}
-
 bool fast_axis_preferred(TransformKind kind, index_t n) {
   if (!fast_axis_supported(kind, n)) return false;
-  if (n == 1) return true;
-  if (fast_axis_policy() == FastAxisPolicy::kFixed)
-    return fixed_axis_preferred(kind, n);
-  return autotuned_axis_preferred(kind, n);
+  // The dense matrix apply has compile-time trip counts and no inter-level
+  // copies, so it wins on very short Haar axes where the butterfly's level
+  // overhead dominates (measured in bench/micro_kernels.cpp).
+  if (kind == TransformKind::kHaar) return n == 1 || n >= 8;
+  return true;
 }
 
 void fast_transform_axis(TransformKind kind, double* data, double* tmp,

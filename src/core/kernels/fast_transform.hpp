@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-
 #include "core/ndarray/shape.hpp"
 #include "core/transform/transform.hpp"
 
@@ -13,44 +11,17 @@ namespace pyblaz::kernels {
 /// two.
 bool fast_axis_supported(TransformKind kind, index_t n);
 
-/// How fast_axis_preferred() decides between the factorized and the dense
-/// axis kernel for a supported size.
-enum class FastAxisPolicy : std::uint8_t {
-  /// One-shot startup micro-probe: the first dispatch times both kernels on
-  /// this host (forward + inverse, contiguous + strided panels) and caches
-  /// the verdict per (kind, n).  The default.  The measurement overrides the
-  /// fixed heuristic only on a decisive >25% win, so borderline sizes stay
-  /// on the heuristic instead of flipping between runs on timer noise; a
-  /// host where the probe *is* decisive dispatches differently from other
-  /// hosts (the outputs differ only in last-ulp rounding and remain fully
-  /// interoperable).
-  kAutotune = 0,
-  /// The fixed pre-measured heuristic (all supported DCT sizes; Haar
-  /// n >= 8): host-independent dispatch for bit-reproducible pipelines
-  /// across machines.
-  kFixed = 1,
-};
-
-/// Process-wide policy override.  Defaults to kAutotune; the PYBLAZ_FAST_AXIS
-/// environment variable ("autotune" or "fixed", read once at startup) is the
-/// settings override, and this setter is the programmatic one (used by tests
-/// and benchmarks).
-void set_fast_axis_policy(FastAxisPolicy policy);
-FastAxisPolicy fast_axis_policy();
-
 /// True when the factorized path is supported AND preferred over the dense
-/// matrix apply for this axis length — what TransformImpl::kAuto uses.
-/// Under FastAxisPolicy::kAutotune the preference is measured on this host
-/// (first call probes, later calls hit the cache); under kFixed it is the
-/// pre-measured heuristic (very short Haar axes are dominated by butterfly
-/// level overhead, so the dense path keeps them).
+/// matrix apply for this axis length — what TransformImpl::kAuto uses.  A
+/// fixed, host-independent heuristic: every supported DCT size, and Haar for
+/// n = 1 or n >= 8 (very short Haar axes are dominated by butterfly level
+/// overhead, so the dense path keeps them).
 bool fast_axis_preferred(TransformKind kind, index_t n);
 
 /// Dense matrix contraction of one axis of a row-major block viewed as
 /// (outer, n, inner), out of place (@p src -> @p dst): forward contracts
 /// with basis rows, inverse with basis columns.  @p matrix is the n x n
-/// orthonormal basis.  This is TransformImpl::kDense's kernel, hoisted here
-/// so the autotune probe times exactly the code the dense path runs.
+/// orthonormal basis.  This is TransformImpl::kDense's kernel.
 void dense_transform_axis(const double* src, double* dst, const double* matrix,
                           index_t n, index_t outer, index_t inner,
                           bool forward);

@@ -13,6 +13,7 @@ namespace internal {
 
 std::vector<double> blockwise_mean_vector(const CompressedArray& a) {
   require_dc(a, "blockwise mean");
+  a.require_flushed("blockwise mean");
   const index_t num_blocks = a.num_blocks();
   const index_t kept = a.kept_per_block();
   const double r = static_cast<double>(a.radius());
@@ -36,6 +37,7 @@ std::vector<double> blockwise_mean_vector(const CompressedArray& a) {
 
 void specified_coefficients_into(const CompressedArray& a,
                                  std::span<double> out) {
+  a.require_flushed("specified_coefficients");
   const index_t num_blocks = a.num_blocks();
   const index_t kept = a.kept_per_block();
   const double r = static_cast<double>(a.radius());

@@ -15,6 +15,8 @@ NDArray<double> blockwise_covariance(const CompressedArray& a,
                                      const CompressedArray& b) {
   a.require_layout_match(b);
   internal::require_dc(a, "blockwise covariance");
+  a.require_flushed("blockwise covariance");
+  b.require_flushed("blockwise covariance");
   const index_t num_blocks = a.num_blocks();
   const index_t kept = a.kept_per_block();
   const double r = static_cast<double>(a.radius());

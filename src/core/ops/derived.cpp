@@ -34,6 +34,7 @@ double pearson_correlation(const CompressedArray& a, const CompressedArray& b) {
 }
 
 NDArray<double> blockwise_l2_norm(const CompressedArray& a) {
+  a.require_flushed("blockwise_l2_norm");
   const index_t num_blocks = a.num_blocks();
   const index_t kept = a.kept_per_block();
   const double r = static_cast<double>(a.radius());
@@ -61,6 +62,7 @@ double dot(const CompressedArray& a, const NDArray<double>& y,
            TransformImpl impl) {
   if (y.shape() != a.shape)
     throw std::invalid_argument("mixed-domain dot: shape mismatch");
+  a.require_flushed("mixed-domain dot");
 
   // Transform y's blocks on the fly and contract with A's specified
   // coefficients: <A, y> = <Ĉ_A, Ĉ_y> by orthonormality.  Reuses the

@@ -208,8 +208,8 @@ constexpr auto operator-(double s, const A& a) {
 /// is decoded once and fanned into every collected expression through the
 /// multi-output kernel, each output finishing with its own terminal rebin.
 /// Results are bit-identical to eval()ing each expression alone, in add()
-/// order; a batch whose expressions share nothing (or holds a single
-/// expression) falls back to exactly that sequential evaluation.
+/// order; a batch whose expressions share nothing runs the single-output
+/// kernel per expression, as eval() does.
 ///
 ///     BatchEval batch;
 ///     batch.add(h - dt * (fx + fy));

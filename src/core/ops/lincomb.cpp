@@ -1,30 +1,15 @@
 #include <algorithm>
-#include <stdexcept>
-#include <type_traits>
 #include <vector>
 
-#include "core/codec/workspace.hpp"
-#include "core/kernels/backend.hpp"
-#include "core/kernels/rebin.hpp"
 #include "core/ops/expr.hpp"
 #include "core/ops/ops.hpp"
 #include "core/ops/ops_internal.hpp"
-#include "core/parallel/thread_pool.hpp"
 #include "core/telemetry/telemetry.hpp"
 #include "core/telemetry/trace.hpp"
 
 namespace pyblaz::ops {
 
 namespace {
-
-/// One increment per lincomb call = one terminal rebin pass over the result.
-/// Lives in the telemetry registry (visible in CC_STATS snapshots as
-/// ops.lincomb.rebin_passes); ops::lincomb_rebin_passes() reads it.
-telemetry::Counter& rebin_passes_counter() {
-  static telemetry::Counter& counter =
-      telemetry::counter("ops.lincomb.rebin_passes");
-  return counter;
-}
 
 /// Calls bucketed by operand count: arities 1..7 get their own counter, the
 /// tail shares one.  Resolved through a small static table so the hot path
@@ -45,29 +30,18 @@ telemetry::Counter& arity_counter(std::size_t num_operands) {
 
 }  // namespace
 
-long lincomb_rebin_passes() {
-  // Bit-compatible with the pre-telemetry atomic<long> accessor: monotonic,
-  // relaxed, one tick per lincomb call.
-  return static_cast<long>(rebin_passes_counter().value());
-}
-
-/// The fused expression kernel behind the whole compressed-arithmetic family:
-/// gather every operand's specified coefficients per block, accumulate the
-/// weighted sum into one reusable per-thread coefficient row, and rebin once
-/// at the end.  A chained ops::add sequence pays one rebin — the only error
-/// source of Table I addition — per binary op; an n-term lincomb pays exactly
-/// one, so it is both fewer passes and a strictly tighter error bound.
+/// The fused expression behind the whole compressed-arithmetic family: a
+/// one-request batch through the shared lincomb engine (lincomb_batch.cpp),
+/// which gathers every operand's specified coefficients per block into one
+/// coefficient row and rebins once at the end.  A chained ops::add sequence
+/// pays one rebin — the only error source of Table I addition — per binary
+/// op; an n-term lincomb pays exactly one, so it is both fewer passes and a
+/// strictly tighter error bound.
 CompressedArray lincomb(std::span<const CompressedArray* const> operands,
                         std::span<const double> weights, double bias) {
-  if (operands.empty())
-    throw std::invalid_argument("lincomb: at least one operand required");
-  if (operands.size() != weights.size())
-    throw std::invalid_argument(
-        "lincomb: weights.size() must equal operands.size()");
-  const CompressedArray& first = *operands[0];
-  for (std::size_t i = 1; i < operands.size(); ++i)
-    first.require_layout_match(*operands[i]);
-  if (bias != 0.0) internal::require_dc(first, "lincomb bias");
+  const LincombRequest request{operands, weights, bias};
+  const internal::LincombPlan plan =
+      internal::plan_lincombs({&request, 1}, "lincomb");
 
   static telemetry::Counter& calls = telemetry::counter("ops.lincomb.calls");
   static telemetry::Histogram& wall =
@@ -77,61 +51,7 @@ CompressedArray lincomb(std::span<const CompressedArray* const> operands,
   telemetry::ScopedLatency latency(wall);
   telemetry::TraceSpan span("ops.lincomb",
                             static_cast<std::uint64_t>(operands.size()));
-
-  const index_t num_blocks = first.num_blocks();
-  const index_t kept = first.kept_per_block();
-  const index_t num_operands = static_cast<index_t>(operands.size());
-  const double r = static_cast<double>(first.radius());
-  const double bias_shift = bias * internal::dc_scale(first.block_shape);
-
-  CompressedArray out = first;
-  out.indices = BinIndices(first.index_type, first.indices.size());
-
-  // Dispatch resolved once per lincomb call, outside the block loop: every
-  // chunk then calls through plain function pointers (SIMD backends are
-  // bit-identical to scalar, so results cannot depend on the host ISA).
-  const kernels::KernelTable& table = kernels::active();
-
-  out.indices.visit_mutable([&](auto* out_data) {
-    using BinT = std::remove_cv_t<std::remove_pointer_t<decltype(out_data)>>;
-    // Layout matching guarantees one shared index type, so a single dispatch
-    // covers every operand's bin row.
-    std::vector<const BinT*> bases(operands.size());
-    for (std::size_t i = 0; i < operands.size(); ++i)
-      operands[i]->indices.visit([&](const auto* f) {
-        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(*f)>, BinT>)
-          bases[i] = f;
-      });
-
-    parallel::parallel_for(
-        0, num_blocks, parallel::default_grain(num_blocks),
-        [&](index_t begin, index_t end) {
-          // The kept-size coefficient row is the hot allocation; it comes
-          // from the per-thread workspace and is reused across every block,
-          // chunk, and lincomb call on this thread.  The per-operand pointer
-          // and scale rows are a few machine words per chunk.
-          double* coeffs = pyblaz::internal::coefficient_workspace(
-              static_cast<std::size_t>(kept));
-          std::vector<const BinT*> rows(operands.size());
-          std::vector<double> scales(operands.size());
-          for (index_t kb = begin; kb < end; ++kb) {
-            for (std::size_t i = 0; i < operands.size(); ++i) {
-              rows[i] = bases[i] + kb * kept;
-              scales[i] =
-                  weights[i] * operands[i]->biggest[static_cast<std::size_t>(kb)] /
-                  r;
-            }
-            kernels::bins<BinT>(table).decode_lincomb(
-                rows.data(), scales.data(), num_operands, kept, coeffs);
-            if (bias_shift != 0.0) coeffs[0] += bias_shift;
-            out.biggest[static_cast<std::size_t>(kb)] = kernels::rebin_block(
-                table, coeffs, kept, r, first.float_type,
-                out_data + kb * kept);
-          }
-        });
-  });
-  rebin_passes_counter().increment();
-  return out;
+  return std::move(internal::evaluate_lincombs(plan).front());
 }
 
 CompressedArray lincomb(

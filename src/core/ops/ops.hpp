@@ -14,6 +14,11 @@ namespace pyblaz::ops {
 /// compressed representation {s, i, N, F}; none decompresses.  Binary
 /// operations require both operands to share shape, block shape, types,
 /// transform, and pruning mask (they throw std::invalid_argument otherwise).
+/// Every operation reads the raw archive fields (biggest/indices), which
+/// reflect a cached set() only after flush_cache(): operands with unflushed
+/// dirty cached blocks are rejected with std::logic_error
+/// (CompressedArray::require_flushed), so no result depends on the cache
+/// capacity.
 ///
 /// Error characteristics (Table I):
 ///  - negation, scalar multiplication: no additional error,
@@ -199,22 +204,21 @@ struct LincombRequest {
 ///
 /// Outputs are bit-identical to calling ops::lincomb(requests[k]) one at a
 /// time, at any thread count, shard count, kernel backend, or cache capacity;
-/// results[k] corresponds to requests[k].  Operands are deduplicated by
-/// pointer — two requests share a decode only when they reference the same
-/// CompressedArray object.  Batches of one request, or batches whose
-/// requests share nothing, fall back to sequential per-request evaluation
-/// (same bits, no amortization).  Every request's operands must share the
-/// layout of the first request's first operand; a request with a nonzero
-/// bias requires the DC coefficient, like lincomb.  Operands with unflushed
-/// dirty cached blocks are rejected (std::logic_error): the raw archive
-/// fields this pass reads don't reflect those writes yet — flush_cache()
-/// first.  Rebin accounting: a K-request batch performs exactly K terminal
-/// rebin passes (lincomb_rebin_passes() advances by K, fused or fallback).
+/// results[k] corresponds to requests[k].  ops::lincomb is itself the
+/// one-request case of this pass.  Operands are deduplicated by pointer —
+/// two terms share a decode only when they reference the same
+/// CompressedArray object; when no operand is shared, each output runs the
+/// single-output kernel instead (same bits, no amortization).  Every
+/// request's operands must share the layout of the first request's first
+/// operand; a request with a nonzero bias requires the DC coefficient, like
+/// lincomb.  Rebin accounting: a K-request batch performs exactly K terminal
+/// rebin passes (lincomb_rebin_passes() advances by K).
 std::vector<CompressedArray> lincomb_batch(
     std::span<const LincombRequest> requests);
 
-/// Process-wide count of terminal rebin passes performed by ops::lincomb —
-/// exactly one per call, which is the fused pipeline's defining property.
+/// Process-wide count of terminal rebin passes performed by ops::lincomb and
+/// ops::lincomb_batch — exactly one per expression, which is the fused
+/// pipeline's defining property.
 /// Everything that routes through lincomb (add, subtract, add_scalar,
 /// linear_combination, and every expression-template evaluation from
 /// core/ops/expr.hpp) bumps it once; the exact rebin-free operations

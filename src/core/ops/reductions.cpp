@@ -30,9 +30,12 @@ double dc_total(const CompressedArray& a, const BinT* f) {
 }
 
 /// Σ(Ĉ1 ⊙ Ĉ2) over kept coefficients, optionally centering the DC
-/// coefficients of both operands (used by both dot and covariance).
+/// coefficients of both operands (used by dot, covariance, and l2_norm).
 double coefficient_inner_product(const CompressedArray& a,
-                                 const CompressedArray& b, bool center_dc) {
+                                 const CompressedArray& b, bool center_dc,
+                                 const char* op) {
+  a.require_flushed(op);
+  b.require_flushed(op);
   const index_t num_blocks = a.num_blocks();
   const index_t kept = a.kept_per_block();
   const double r = static_cast<double>(a.radius());
@@ -83,11 +86,12 @@ double coefficient_inner_product(const CompressedArray& a,
 
 double dot(const CompressedArray& a, const CompressedArray& b) {
   a.require_layout_match(b);
-  return coefficient_inner_product(a, b, /*center_dc=*/false);
+  return coefficient_inner_product(a, b, /*center_dc=*/false, "dot");
 }
 
 double mean(const CompressedArray& a) {
   internal::require_dc(a, "mean");
+  a.require_flushed("mean");
   const double total_dc =
       a.indices.visit([&](const auto* f) { return dc_total(a, f); });
   // mean(Ĉ...1) ⊘ sqrt(prod(i)) (Algorithm 7).
@@ -102,7 +106,8 @@ double covariance(const CompressedArray& a, const CompressedArray& b) {
   // to the numerator but still count in the denominator.
   const double padded_volume = static_cast<double>(
       a.num_blocks() * a.block_shape.volume());
-  return coefficient_inner_product(a, b, /*center_dc=*/true) / padded_volume;
+  return coefficient_inner_product(a, b, /*center_dc=*/true, "covariance") /
+         padded_volume;
 }
 
 double variance(const CompressedArray& a) { return covariance(a, a); }
@@ -112,7 +117,8 @@ double standard_deviation(const CompressedArray& a) {
 }
 
 double l2_norm(const CompressedArray& a) {
-  return std::sqrt(coefficient_inner_product(a, a, /*center_dc=*/false));
+  return std::sqrt(
+      coefficient_inner_product(a, a, /*center_dc=*/false, "l2_norm"));
 }
 
 double cosine_similarity(const CompressedArray& a, const CompressedArray& b) {
@@ -122,6 +128,7 @@ double cosine_similarity(const CompressedArray& a, const CompressedArray& b) {
 
 double sum(const CompressedArray& a) {
   internal::require_dc(a, "sum");
+  a.require_flushed("sum");
   const double total_dc =
       a.indices.visit([&](const auto* f) { return dc_total(a, f); });
   // Block sum = block mean * prod(i) = DC * sqrt(prod(i)); padding zeros

@@ -40,6 +40,8 @@ NDArray<double> structural_similarity_map(const CompressedArray& a,
                                           const SsimParams& params) {
   a.require_layout_match(b);
   internal::require_dc(a, "SSIM map");
+  a.require_flushed("SSIM map");
+  b.require_flushed("SSIM map");
 
   const index_t num_blocks = a.num_blocks();
   const index_t kept = a.kept_per_block();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -100,8 +102,9 @@ TEST(BlockCacheUnit, FlushWritesBackAscendingThenTrims) {
   EXPECT_EQ(order, (std::vector<index_t>{1, 2, 3}));
   EXPECT_EQ(cache.dirty_blocks(), 0);
   EXPECT_EQ(cache.stats().writebacks, 3u);
-  // The previously pinned population trims back to capacity.
-  EXPECT_LE(cache.resident_blocks(), 2);
+  // Written-back blocks leave the cache: their buffers hold the pre-encode
+  // values, not what the archive now decodes to.
+  EXPECT_EQ(cache.resident_blocks(), 0);
 }
 
 TEST(BlockCacheUnit, RefKeepsEvictedBufferAlive) {
@@ -379,6 +382,44 @@ TEST(WriteBack, CacheOffSingleWritesMatchCachedFlush) {
   cached.flush_cache();
 
   EXPECT_EQ(serialize(direct), serialize(cached));
+}
+
+TEST(WriteBack, ReadAfterFlushDecodesTheArchive) {
+  // flush_cache() re-encodes the written buffer, which is lossy, so the
+  // buffer itself must not keep serving reads: after the flush a read
+  // returns what a cache-off decode of the same archive returns, and a
+  // second write to the block starts from that decode, as cache-off does.
+  CacheCapacityGuard guard;
+  Compressor compressor({.block_shape = Shape{4, 4}});
+  const CompressedArray original = compress_case(compressor, Shape{8, 8}, 67);
+
+  cache::set_default_capacity(0);
+  CompressedArray direct = original;
+  direct.set({1, 2}, 0.75);
+
+  cache::set_default_capacity(16);
+  CompressedArray cached = original;
+  cached.set({1, 2}, 0.75);
+  ASSERT_EQ(cached.flush_cache(), 1);
+  ASSERT_EQ(serialize(cached), serialize(direct));
+  const NDArray<double> roi = cached.decompress_roi({0, 0}, {4, 4});
+  const double element = cached.get({1, 2});
+
+  cache::set_default_capacity(0);
+  const CompressedArray uncached = cached;  // Same archive, no cache.
+  const NDArray<double> want = uncached.decompress_roi({0, 0}, {4, 4});
+  for (index_t k = 0; k < want.size(); ++k)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(roi[k]),
+              std::bit_cast<std::uint64_t>(want[k]))
+        << "element " << k;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(element),
+            std::bit_cast<std::uint64_t>(uncached.get({1, 2})));
+
+  direct.set({2, 1}, -0.5);
+  cache::set_default_capacity(16);
+  cached.set({2, 1}, -0.5);
+  ASSERT_EQ(cached.flush_cache(), 1);
+  EXPECT_EQ(serialize(cached), serialize(direct));
 }
 
 TEST(WriteBack, DirtyArchiveGuards) {

@@ -12,35 +12,19 @@
 ///
 /// Args: [max_size] (default 2048).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.hpp"
 #include "blaz/blaz.hpp"
 #include "core/codec/compressor.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/ops/ops.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/table.hpp"
-#include "core/util/timer.hpp"
 
 using namespace pyblaz;  // NOLINT
-
-namespace {
-
-/// Best-of-N wall time of a callable, in seconds.
-template <typename Fn>
-double best_time(Fn&& fn, int repeats = 3) {
-  double best = 1e300;
-  for (int k = 0; k < repeats; ++k) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.seconds());
-  }
-  return best;
-}
-
-}  // namespace
+using bench::best_of;
 
 int main(int argc, char** argv) {
   const index_t max_size = argc > 1 ? std::atoll(argv[1]) : 2048;
@@ -64,20 +48,20 @@ int main(int argc, char** argv) {
     // PyBlaz.
     CompressedArray cx = compressor.compress(x);
     CompressedArray cy = compressor.compress(y);
-    const double p_comp = best_time([&] { (void)compressor.compress(x); });
-    const double p_decomp = best_time([&] { (void)compressor.decompress(cx); });
-    const double p_add = best_time([&] { (void)ops::add(cx, cy); });
+    const double p_comp = best_of(3, [&] { (void)compressor.compress(x); });
+    const double p_decomp = best_of(3, [&] { (void)compressor.decompress(cx); });
+    const double p_add = best_of(3, [&] { (void)ops::add(cx, cy); });
     const double p_mult =
-        best_time([&] { (void)ops::multiply_scalar(cx, 1.5); });
+        best_of(3, [&] { (void)ops::multiply_scalar(cx, 1.5); });
 
     // Blaz.
     blaz::CompressedMatrix bx = blaz::compress(x);
     blaz::CompressedMatrix by = blaz::compress(y);
-    const double b_comp = best_time([&] { (void)blaz::compress(x); });
-    const double b_decomp = best_time([&] { (void)blaz::decompress(bx); });
-    const double b_add = best_time([&] { (void)blaz::add(bx, by); });
+    const double b_comp = best_of(3, [&] { (void)blaz::compress(x); });
+    const double b_decomp = best_of(3, [&] { (void)blaz::decompress(bx); });
+    const double b_add = best_of(3, [&] { (void)blaz::add(bx, by); });
     const double b_mult =
-        best_time([&] { (void)blaz::multiply_scalar(bx, 1.5); });
+        best_of(3, [&] { (void)blaz::multiply_scalar(bx, 1.5); });
 
     table.add_row({std::to_string(size), Table::sci(p_comp), Table::sci(p_decomp),
                    Table::sci(p_add), Table::sci(p_mult), Table::sci(b_comp),

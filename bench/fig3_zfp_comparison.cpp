@@ -15,26 +15,16 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.hpp"
 #include "core/codec/compressor.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/util/table.hpp"
-#include "core/util/timer.hpp"
 #include "zfpx/zfpx.hpp"
 
 using namespace pyblaz;  // NOLINT
+using bench::best_of;
 
 namespace {
-
-template <typename Fn>
-double best_time(Fn&& fn, int repeats = 3) {
-  double best = 1e300;
-  for (int k = 0; k < repeats; ++k) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.seconds());
-  }
-  return best;
-}
 
 void run_dimension(int dims, index_t max_size) {
   std::printf("---- %d-dimensional arrays ----\n", dims);
@@ -65,16 +55,16 @@ void run_dimension(int dims, index_t max_size) {
 
     table.add_row(
         {std::to_string(size),
-         Table::sci(best_time([&] { (void)zfp8.compress(array); })),
-         Table::sci(best_time([&] { (void)zfp4.compress(array); })),
-         Table::sci(best_time([&] { (void)zfp2.compress(array); })),
-         Table::sci(best_time([&] { (void)pyblaz8.compress(array); })),
-         Table::sci(best_time([&] { (void)pyblaz4.compress(array); })),
-         Table::sci(best_time([&] { (void)zfp8.decompress(z8, shape); })),
-         Table::sci(best_time([&] { (void)zfp4.decompress(z4, shape); })),
-         Table::sci(best_time([&] { (void)zfp2.decompress(z2, shape); })),
-         Table::sci(best_time([&] { (void)pyblaz8.decompress(p8); })),
-         Table::sci(best_time([&] { (void)pyblaz4.decompress(p4); }))});
+         Table::sci(best_of(3, [&] { (void)zfp8.compress(array); })),
+         Table::sci(best_of(3, [&] { (void)zfp4.compress(array); })),
+         Table::sci(best_of(3, [&] { (void)zfp2.compress(array); })),
+         Table::sci(best_of(3, [&] { (void)pyblaz8.compress(array); })),
+         Table::sci(best_of(3, [&] { (void)pyblaz4.compress(array); })),
+         Table::sci(best_of(3, [&] { (void)zfp8.decompress(z8, shape); })),
+         Table::sci(best_of(3, [&] { (void)zfp4.decompress(z4, shape); })),
+         Table::sci(best_of(3, [&] { (void)zfp2.decompress(z2, shape); })),
+         Table::sci(best_of(3, [&] { (void)pyblaz8.decompress(p8); })),
+         Table::sci(best_of(3, [&] { (void)pyblaz4.decompress(p4); }))});
   }
   std::printf("%s\n", table.to_text().c_str());
   table.write_csv(dims == 2 ? "bench_out_fig3_2d.csv" : "bench_out_fig3_3d.csv");

@@ -15,37 +15,22 @@
 /// rebin) and `chain3` (the chained add/multiply_scalar sequence), so the
 /// figure can report both compressed-arithmetic paths.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/codec/compressor.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/ops/expr.hpp"
 #include "core/ops/ops.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/table.hpp"
-#include "core/util/timer.hpp"
 
 using namespace pyblaz;  // NOLINT
-
-namespace {
-
-template <typename Fn>
-double best_time(Fn&& fn, int repeats = 3) {
-  double best = 1e300;
-  for (int k = 0; k < repeats; ++k) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.seconds());
-  }
-  return best;
-}
-
-}  // namespace
+using bench::best_of;
 
 int main(int argc, char** argv) {
   bool fused = false;
@@ -87,18 +72,18 @@ int main(int argc, char** argv) {
         CompressedArray a = compressor.compress(x);
         CompressedArray b = compressor.compress(y);
 
-        const double t_comp = best_time([&] { (void)compressor.compress(x); });
-        const double t_dec = best_time([&] { (void)compressor.decompress(a); });
-        const double t_neg = best_time([&] { (void)ops::negate(a); });
-        const double t_add = best_time([&] { (void)ops::add(a, b); });
-        const double t_mul = best_time([&] { (void)ops::multiply_scalar(a, 2.0); });
-        const double t_dot = best_time([&] { (void)ops::dot(a, b); });
-        const double t_l2 = best_time([&] { (void)ops::l2_norm(a); });
-        const double t_cos = best_time([&] { (void)ops::cosine_similarity(a, b); });
-        const double t_mean = best_time([&] { (void)ops::mean(a); });
-        const double t_var = best_time([&] { (void)ops::variance(a); });
+        const double t_comp = best_of(3, [&] { (void)compressor.compress(x); });
+        const double t_dec = best_of(3, [&] { (void)compressor.decompress(a); });
+        const double t_neg = best_of(3, [&] { (void)ops::negate(a); });
+        const double t_add = best_of(3, [&] { (void)ops::add(a, b); });
+        const double t_mul = best_of(3, [&] { (void)ops::multiply_scalar(a, 2.0); });
+        const double t_dot = best_of(3, [&] { (void)ops::dot(a, b); });
+        const double t_l2 = best_of(3, [&] { (void)ops::l2_norm(a); });
+        const double t_cos = best_of(3, [&] { (void)ops::cosine_similarity(a, b); });
+        const double t_mean = best_of(3, [&] { (void)ops::mean(a); });
+        const double t_var = best_of(3, [&] { (void)ops::variance(a); });
         const double t_ssim =
-            best_time([&] { (void)ops::structural_similarity(a, b); });
+            best_of(3, [&] { (void)ops::structural_similarity(a, b); });
 
         std::vector<std::string> row = {std::to_string(size), Table::sci(t_comp, 2),
                                         Table::sci(t_dec, 2), Table::sci(t_neg, 2),
@@ -111,10 +96,10 @@ int main(int argc, char** argv) {
           // (one fused pass with a single terminal rebin) vs the chained
           // per-op sequence.
           CompressedArray c = ops::negate(a);
-          const double t_fused = best_time([&] {
+          const double t_fused = best_of(3, [&] {
             (void)CompressedArray(a + 0.5 * b - 0.25 * c);
           });
-          const double t_chain = best_time([&] {
+          const double t_chain = best_of(3, [&] {
             (void)ops::add(ops::add(a, ops::multiply_scalar(b, 0.5)),
                            ops::multiply_scalar(c, -0.25));
           });

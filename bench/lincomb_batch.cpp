@@ -30,149 +30,30 @@
 ///
 /// Writes BENCH_lincomb_batch.local.json by default (gitignored; pass a path
 /// when refreshing the committed baseline via tools/bench_merge.py).  --smoke
-/// shrinks the arrays for CI.  The batch[] JSON section is diffed by
-/// tools/bench_compare.py (warn-only, like backends[] and cache[]).  Timing
+/// shrinks the arrays for CI.  tools/bench_compare.py diffs the batch[] JSON
+/// section against a baseline (informational, never gating).  Timing
 /// is single-thread (CC_THREADS pinned to 1 here) to keep the ratio a pure
 /// decode-amortization measurement.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/codec/compressor.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/ops/ops.hpp"
 #include "core/parallel/thread_pool.hpp"
 #include "core/util/rng.hpp"
-#include "core/util/timer.hpp"
 
 namespace {
 
 using namespace pyblaz;  // NOLINT
 
-struct Result {
-  std::string name;  // "shared3of4_i32", "shared3of4_i8", "noshare"
-  std::string impl;  // "sequential", "batch"
-  std::string shape;
-  double seconds_per_call = 0.0;   // One call = all K expressions.
-  double elements_per_call = 0.0;  // K * numel.
-  int expressions = 0;
-  int distinct_operands = 0;
-};
-
-/// Interleaved best-of-trials timing for a (sequential, batch) pair.  One
-/// call here is milliseconds of compute whose ratio is partly a memory-system
-/// property, so the two sides are timed in ALTERNATING trials: slow drift
-/// (frequency scaling, a noisy co-tenant, page-cache state) lands on both
-/// sides instead of biasing whichever happened to run second.  Best-of per
-/// side, like bench_micro_kernels.
-std::pair<double, double> time_pair(const std::function<void()>& a,
-                                    const std::function<void()>& b) {
-  constexpr double kTrialSeconds = 0.2;
-  constexpr int kTrials = 7;
-
-  a();  // Warm both paths (allocator, page cache, branch predictors).
-  b();
-  std::int64_t reps = 1;
-  for (;;) {
-    Timer timer;
-    for (std::int64_t i = 0; i < reps; ++i) a();
-    const double elapsed = timer.seconds();
-    if (elapsed > kTrialSeconds / 4 || reps > (1LL << 30)) break;
-    reps = elapsed <= 0.0
-               ? reps * 16
-               : std::max<std::int64_t>(
-                     reps + 1, static_cast<std::int64_t>(
-                                   static_cast<double>(reps) * kTrialSeconds /
-                                   elapsed * 0.5));
-  }
-
-  double best_a = 1e300;
-  double best_b = 1e300;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    {
-      Timer timer;
-      for (std::int64_t i = 0; i < reps; ++i) a();
-      best_a = std::min(best_a, timer.seconds() / static_cast<double>(reps));
-    }
-    {
-      Timer timer;
-      for (std::int64_t i = 0; i < reps; ++i) b();
-      best_b = std::min(best_b, timer.seconds() / static_cast<double>(reps));
-    }
-  }
-  return {best_a, best_b};
-}
-
-std::string shape_string(const Shape& shape) {
-  std::string text;
-  for (int axis = 0; axis < shape.ndim(); ++axis) {
-    if (axis) text += "x";
-    text += std::to_string(shape[axis]);
-  }
-  return text;
-}
-
-class Harness {
- public:
-  /// Time a sequential/batch pair with interleaved trials, record both rows.
-  void run_pair(const std::string& name, const Shape& shape, double elements,
-                int expressions, int distinct,
-                const std::function<void()>& sequential,
-                const std::function<void()>& batch) {
-    const auto [seq_s, batch_s] = time_pair(sequential, batch);
-    add({name, "sequential", shape_string(shape), seq_s, elements,
-         expressions, distinct});
-    add({name, "batch", shape_string(shape), batch_s, elements, expressions,
-         distinct});
-  }
-
-  const Result* find(const std::string& name, const std::string& impl) const {
-    for (const auto& r : results_)
-      if (r.name == name && r.impl == impl) return &r;
-    return nullptr;
-  }
-
- private:
-  void add(Result result) {
-    std::printf("%-15s %-10s %-10s %12.1f us/call  (K=%d, %d distinct)\n",
-                result.name.c_str(), result.impl.c_str(),
-                result.shape.c_str(), result.seconds_per_call * 1e6,
-                result.expressions, result.distinct_operands);
-    std::fflush(stdout);
-    results_.push_back(std::move(result));
-  }
-
- public:
-
-  bool write_json(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    std::fprintf(f, "{\n  \"schema\": \"pyblaz-bench-kernels-v1\",\n");
-    std::fprintf(f, "  \"batch\": [\n");
-    for (std::size_t i = 0; i < results_.size(); ++i) {
-      const Result& r = results_[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"impl\": \"%s\", \"shape\": "
-                   "\"%s\", \"seconds_per_call\": %.6e, \"elements_per_call\": "
-                   "%.0f, \"expressions\": %d, \"distinct_operands\": %d}%s\n",
-                   r.name.c_str(), r.impl.c_str(), r.shape.c_str(),
-                   r.seconds_per_call, r.elements_per_call, r.expressions,
-                   r.distinct_operands, i + 1 < results_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  std::vector<Result> results_;
-};
+using bench::Report;
 
 /// A request batch plus the arrays backing it (requests hold pointers).
 struct Workload {
@@ -267,22 +148,33 @@ bool check_bit_identity(const Workload& w, const char* label) {
   return true;
 }
 
-void bench_workload(Harness& harness, const Workload& w,
-                    const std::string& name, const Shape& shape) {
+/// Times a workload's sequential and batch paths in interleaved trials
+/// (0.2 s x 7): one call is milliseconds of compute whose ratio is partly a
+/// memory-system property, so alternating trials land slow drift (frequency
+/// scaling, a noisy co-tenant, page-cache state) on both sides instead of
+/// biasing whichever ran second.
+void bench_workload(Report& report, const Workload& w, const std::string& name,
+                    const Shape& shape) {
   const auto reqs = w.requests();
-  const double elements = static_cast<double>(reqs.size()) *
-                          static_cast<double>(shape.volume());
-  const int k = static_cast<int>(reqs.size());
+  const index_t k = static_cast<index_t>(reqs.size());
 
   std::vector<CompressedArray> sink;
-  harness.run_pair(
-      name, shape, elements, k, w.distinct,
-      [&] { eval_sequential(reqs, sink); },
-      [&] {
-        sink.clear();  // Release-before-evaluate; see eval_sequential.
-        sink = ops::lincomb_batch(std::span<const ops::LincombRequest>(reqs));
-      });
+  const std::vector<double> seconds = bench::time_ops(
+      {[&] { eval_sequential(reqs, sink); },
+       [&] {
+         sink.clear();  // Release-before-evaluate; see eval_sequential.
+         sink = ops::lincomb_batch(std::span<const ops::LincombRequest>(reqs));
+       }},
+      /*trial_seconds=*/0.2, /*trials=*/7);
   if (sink.empty()) std::printf("unreachable\n");  // Defeat dead-code elim.
+  for (std::size_t side = 0; side < 2; ++side)
+    report.record("batch", {{"name", name},
+                            {"impl", side == 0 ? "sequential" : "batch"},
+                            {"shape", bench::shape_string(shape)},
+                            {"elements_per_call", k * shape.volume()},
+                            {"expressions", k},
+                            {"distinct_operands", w.distinct},
+                            {"seconds_per_call", seconds[side]}});
 }
 
 }  // namespace
@@ -323,36 +215,28 @@ int main(int argc, char** argv) {
   std::printf("bit-identity check passed (batch == sequential, all "
               "workloads)\n\n");
 
-  Harness harness;
-  bench_workload(harness, shared_i32, "shared3of4_i32", array_shape);
-  bench_workload(harness, shared_i8, "shared3of4_i8", array_shape);
-  bench_workload(harness, noshare, "noshare", array_shape);
+  Report report;
+  bench_workload(report, shared_i32, "shared3of4_i32", array_shape);
+  bench_workload(report, shared_i8, "shared3of4_i8", array_shape);
+  bench_workload(report, noshare, "noshare", array_shape);
 
-  const Result* seq = harness.find("shared3of4_i32", "sequential");
-  const Result* bat = harness.find("shared3of4_i32", "batch");
-  if (seq && bat && bat->seconds_per_call > 0) {
-    const double speedup = seq->seconds_per_call / bat->seconds_per_call;
-    std::printf("\nbatched evaluation speedup (K=4, 3 of 4 operands shared, "
-                "int32 bins, 1 thread): %.2fx\n",
-                speedup);
-    if (!smoke && speedup < 1.5)
-      std::fprintf(stderr,
-                   "warning: batch measured <1.5x over sequential; expected "
-                   ">=1.5x on the full-size shared3of4_i32 workload — rerun "
-                   "on a quiet machine before trusting this\n");
-  }
-  const Result* seq8 = harness.find("shared3of4_i8", "sequential");
-  const Result* bat8 = harness.find("shared3of4_i8", "batch");
-  if (seq8 && bat8 && bat8->seconds_per_call > 0)
-    std::printf("int8-bin ratio (cache-resident, expect ~1.0-1.1x): %.2fx\n",
-                seq8->seconds_per_call / bat8->seconds_per_call);
-  const Result* nseq = harness.find("noshare", "sequential");
-  const Result* nbat = harness.find("noshare", "batch");
-  if (nseq && nbat && nbat->seconds_per_call > 0)
-    std::printf("no-share ratio (should be ~1.0x): %.2fx\n",
-                nseq->seconds_per_call / nbat->seconds_per_call);
+  // shared3of4_i32 (int32 bins, 1 thread) is the >=1.5x acceptance row; the
+  // cache-resident int8 row and the no-share row are expected near 1.0x.
+  bench::print_ratios(report, {{.title = "batch speedup over sequential",
+                                .section = "batch",
+                                .key = "impl",
+                                .num = "sequential",
+                                .den = "batch"}});
+  const auto speedup =
+      report.ratio("batch", {{"name", "shared3of4_i32"}, {"impl", "sequential"}},
+                   {{"name", "shared3of4_i32"}, {"impl", "batch"}});
+  if (!smoke && speedup && *speedup < 1.5)
+    std::fprintf(stderr,
+                 "warning: batch measured <1.5x over sequential; expected "
+                 ">=1.5x on the full-size shared3of4_i32 workload — rerun "
+                 "on a quiet machine before trusting this\n");
 
-  if (!harness.write_json(out_path)) {
+  if (!report.write_json(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
   }

@@ -32,8 +32,9 @@
 /// "compress_lincomb_batch" so they diff independently in concurrency[].
 ///
 /// Results land in a `concurrency[]` section (same JSON schema as
-/// bench_micro_kernels); tools/bench_compare.py diffs it and
-/// tools/bench_merge.py folds it into the committed BENCH_kernels.json.
+/// bench_micro_kernels, and the only section this binary writes);
+/// tools/bench_compare.py diffs it and tools/bench_merge.py folds it into the
+/// committed BENCH_kernels.json.
 /// --smoke shrinks arrays and iteration counts for CI.
 
 #include <algorithm>
@@ -46,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/codec/compressor.hpp"
 #include "core/codec/serialization.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
@@ -63,18 +65,6 @@ struct BenchConfig {
   int iterations = 60;
   int warmup = 3;
   std::vector<int> client_counts{1, 2, 4};
-};
-
-struct CellResult {
-  std::string mode;
-  int clients = 0;
-  int threads = 0;
-  int iterations_per_client = 0;
-  double seconds_total = 0.0;
-  double ops_per_second = 0.0;
-  double p50_seconds = 0.0;
-  double p95_seconds = 0.0;
-  double p99_seconds = 0.0;
 };
 
 CompressorSettings session_settings() {
@@ -181,12 +171,13 @@ double percentile(std::vector<double>& sorted_ascending, double q) {
   return sorted_ascending[lo] * (1.0 - frac) + sorted_ascending[hi] * frac;
 }
 
-/// Run one (mode, clients) cell.  Returns false on any bit-mismatch against
-/// the sequential reference.
+/// Run one (mode, clients) cell and record it under `cell_name` in
+/// concurrency[].  Returns false on any bit-mismatch against the sequential
+/// reference.
 bool run_cell(const BenchConfig& config, const SessionWorkload& workload,
               const std::vector<std::uint8_t>& reference_bytes,
               const NDArray<double>& reference_decoded, bool serialized,
-              int clients, CellResult* result) {
+              int clients, const char* cell_name, bench::Report& report) {
   parallel::set_serialize_regions(serialized);
 
   std::atomic<int> ready{0};
@@ -237,60 +228,23 @@ bool run_cell(const BenchConfig& config, const SessionWorkload& workload,
   for (auto& mine : latencies) all.insert(all.end(), mine.begin(), mine.end());
   std::sort(all.begin(), all.end());
 
-  result->mode = serialized ? "serialized" : "sharded";
-  result->clients = clients;
-  result->threads = parallel::num_threads();
-  result->iterations_per_client = config.iterations;
-  result->seconds_total = wall;
-  result->ops_per_second =
-      static_cast<double>(clients * config.iterations) / wall;
-  result->p50_seconds = percentile(all, 0.50);
-  result->p95_seconds = percentile(all, 0.95);
-  result->p99_seconds = percentile(all, 0.99);
-
-  std::printf(
-      "%-10s clients=%d threads=%d  %8.2f ops/s  p50 %7.2f ms  p95 %7.2f ms  "
-      "p99 %7.2f ms%s\n",
-      result->mode.c_str(), clients, result->threads, result->ops_per_second,
-      result->p50_seconds * 1e3, result->p95_seconds * 1e3,
-      result->p99_seconds * 1e3, mismatches.load() ? "  BIT-MISMATCH" : "");
-  std::fflush(stdout);
+  const char* mode = serialized ? "serialized" : "sharded";
+  report.record("concurrency",
+                {{"name", cell_name},
+                 {"shape", bench::shape_string(config.array_shape)},
+                 {"mode", mode},
+                 {"clients", clients},
+                 {"threads", parallel::num_threads()},
+                 {"iterations_per_client", config.iterations},
+                 {"seconds_total", wall},
+                 {"ops_per_second",
+                  static_cast<double>(clients * config.iterations) / wall},
+                 {"p50_seconds", percentile(all, 0.50)},
+                 {"p95_seconds", percentile(all, 0.95)},
+                 {"p99_seconds", percentile(all, 0.99)}});
+  if (mismatches.load())
+    std::printf("%s clients=%d: BIT-MISMATCH\n", mode, clients);
   return mismatches.load() == 0;
-}
-
-std::string shape_string(const Shape& shape) {
-  std::string text;
-  for (int axis = 0; axis < shape.ndim(); ++axis) {
-    if (axis) text += "x";
-    text += std::to_string(shape[axis]);
-  }
-  return text;
-}
-
-bool write_json(const std::string& path, const char* cell_name,
-                const Shape& shape, const std::vector<CellResult>& cells) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  std::fprintf(f, "{\n  \"schema\": \"pyblaz-bench-kernels-v1\",\n");
-  std::fprintf(f, "  \"results\": [\n  ],\n  \"concurrency\": [\n");
-  const std::string shape_text = shape_string(shape);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& r = cells[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": "
-                 "\"%s\", \"mode\": \"%s\", \"clients\": %d, \"threads\": %d, "
-                 "\"iterations_per_client\": %d, \"seconds_total\": %.6e, "
-                 "\"ops_per_second\": %.6e, \"p50_seconds\": %.6e, "
-                 "\"p95_seconds\": %.6e, \"p99_seconds\": %.6e}%s\n",
-                 cell_name, shape_text.c_str(), r.mode.c_str(), r.clients,
-                 r.threads,
-                 r.iterations_per_client, r.seconds_total, r.ops_per_second,
-                 r.p50_seconds, r.p95_seconds, r.p99_seconds,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace
@@ -326,32 +280,32 @@ int main(int argc, char** argv) {
     std::printf("batch mode: each request coalesces 4 expressions (3 of 4 "
                 "operands shared) into one BatchEval::eval()\n");
 
-  std::vector<CellResult> cells;
+  const char* cell_name =
+      batch ? "compress_lincomb_batch" : "compress_lincomb_decompress";
+  bench::Report report;
   bool all_identical = true;
-  for (bool serialized : {true, false}) {
-    for (int clients : config.client_counts) {
-      CellResult cell;
+  for (bool serialized : {true, false})
+    for (int clients : config.client_counts)
       all_identical &= run_cell(config, workload, reference_bytes,
-                                reference_decoded, serialized, clients, &cell);
-      cells.push_back(cell);
-    }
-  }
+                                reference_decoded, serialized, clients,
+                                cell_name, report);
   parallel::set_serialize_regions(false);
 
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("\noverlap (sharded over serialized aggregate throughput):\n");
+  bench::print_ratios(
+      report, {{.title = "overlap (sharded over serialized aggregate throughput)",
+                .section = "concurrency",
+                .key = "mode",
+                .num = "sharded",
+                .den = "serialized",
+                .field = "ops_per_second",
+                .same = {"name", "shape", "clients"}}});
   bool overlap_suspect = false;
   for (int clients : config.client_counts) {
-    const CellResult* sharded = nullptr;
-    const CellResult* serialized = nullptr;
-    for (const CellResult& r : cells) {
-      if (r.clients != clients) continue;
-      (r.mode == "sharded" ? sharded : serialized) = &r;
-    }
-    if (!sharded || !serialized || serialized->ops_per_second <= 0) continue;
-    const double ratio = sharded->ops_per_second / serialized->ops_per_second;
-    std::printf("  clients=%d  %5.2fx\n", clients, ratio);
-    if (clients >= 2 && ratio < 1.2) overlap_suspect = true;
+    const auto ratio = report.ratio(
+        "concurrency", {{"clients", clients}, {"mode", "sharded"}},
+        {{"clients", clients}, {"mode", "serialized"}}, "ops_per_second");
+    overlap_suspect |= clients >= 2 && ratio && *ratio < 1.2;
   }
   if (overlap_suspect) {
     if (hw <= 1)
@@ -373,9 +327,7 @@ int main(int argc, char** argv) {
                  "reference\n");
     return 1;
   }
-  const char* cell_name =
-      batch ? "compress_lincomb_batch" : "compress_lincomb_decompress";
-  if (!write_json(out_path, cell_name, config.array_shape, cells)) {
+  if (!report.write_json(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
   }

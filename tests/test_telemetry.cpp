@@ -208,8 +208,9 @@ TEST(Telemetry, ShardMergeExactUnderParallelForHammer) {
                            }
                          });
   EXPECT_EQ(counter.value(), static_cast<std::uint64_t>(kIterations));
+  const telemetry::Snapshot snap = telemetry::snapshot();
   const telemetry::HistogramSnapshot* hs =
-      find_histogram(telemetry::snapshot(), "test.hammer.hist");
+      find_histogram(snap, "test.hammer.hist");
   ASSERT_NE(hs, nullptr);
   EXPECT_EQ(hs->count, static_cast<std::uint64_t>(kIterations));
 }

@@ -1,377 +1,76 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json files from the bench harnesses and flag regressions.
+"""Compare two bench JSON files entry by entry; gate on kernel regressions.
 
 Usage:
     tools/bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
-    tools/bench_compare.py --concurrency-only BASELINE.json MULTI_CLIENT.json
 
-Kernel entries (`results[]`, from bench_micro_kernels) are matched on
-(name, kind, impl, shape) and compared on seconds_per_call.  A candidate more
-than --threshold slower than the baseline is a regression; the script prints a
-table and exits nonzero if any entry regressed, so it can gate CI.
+Every list section the candidate carries is compared the same way: entries
+are matched on their identity (bench_merge.identity: every non-float field,
+i.e. the configuration) and each float measurement prints as baseline,
+candidate, and candidate over baseline.  Baseline entries the candidate lacks
+and candidate entries the baseline lacks are listed.
 
-Backend entries (`backends[]`, from bench_micro_kernels' per-SIMD-backend
-series) are matched on (name, impl, shape) and summarized side by side as
-speedup-over-scalar ratios.  The backend summary is warn-only: which ISAs
-exist depends on the recording host, and single-core CI boxes are too noisy
-to hard-gate a SIMD speedup — a vanished win prints a flag, never a failure.
-
-Cache entries (`cache[]`, from bench_block_cache) are matched on
-(name, impl, shape) and summarized side by side with their measured hit
-rates, plus the cached-over-full hot-ROI read speedup (the decoded-block
-cache's >= 5x acceptance number).  Warn-only for the same reason as
-backends[].  --cache-only skips the kernel comparison entirely (for
-candidates that only carry a cache[] section).
-
-Batch entries (`batch[]`, from bench_lincomb_batch) are matched on
-(name, impl, shape) and summarized side by side with the batch-over-sequential
-speedup per workload (the batched-evaluation >= 1.5x acceptance number on the
-shared3of4_i32 row).  Warn-only for the same reason as backends[]: the ratio
-is a cache-traffic property of the recording host.  Baselines recorded before
-the section existed simply lack it — the summary prints "-" columns, never an
-error.  --batch-only skips the kernel comparison entirely (for candidates
-that only carry a batch[] section).
-
-Concurrency entries (`concurrency[]`, from bench_multi_client) are matched on
-(name, shape, mode, clients) and compared on ops_per_second, with the
-sharded-over-serialized overlap ratio per client count summarized side by
-side.  Concurrency comparison is informational — scheduler overlap is
-meaningless on a loaded or single-core runner, so it never fails the run.
---concurrency-only skips the kernel comparison entirely (for candidates that
-only carry a concurrency[] section).
+Only results[] gates, and only when the candidate has a results key: the
+script exits 1 if a baseline results[] entry is missing from the candidate or
+its seconds_per_call is more than --threshold above the baseline.  Every
+other section is informational: its timings depend too much on the host to
+gate, and each bench binary prints and warns on its own ratios.
 """
 
 import argparse
-import json
+import os
 import sys
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_merge import identity, load  # noqa: E402
 
-def load_json(path):
-    with open(path) as f:
-        data = json.load(f)
-    if data.get("schema") != "pyblaz-bench-kernels-v1":
-        sys.exit(f"{path}: unexpected schema {data.get('schema')!r}")
-    return data
+GATED = "results"
 
 
-def load_results(path):
-    return {
-        (r["name"], r["kind"], r["impl"], r["shape"]): r["seconds_per_call"]
-        for r in load_json(path).get("results", [])
-    }
+def label(entry):
+    """The entry's configuration as one line, in the order it was written."""
+    parts = []
+    for key, value in entry.items():
+        if isinstance(value, str):
+            if value:
+                parts.append(value)
+        elif not isinstance(value, float):
+            parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
-def load_concurrency(path):
-    return {
-        (r["name"], r["shape"], r["mode"], r["clients"]): r
-        for r in load_json(path).get("concurrency", [])
-    }
-
-
-def fusion_ratios(results):
-    """fused-over-chained speedup per (name, kind, shape) measured under both
-    lincomb paths (the fused-op series from bench_fused_lincomb)."""
-    ratios = {}
-    for (name, kind, impl, shape), seconds in results.items():
-        if impl != "fused":
+def compare(section, base_entries, cand_entries, threshold):
+    """Print one section side by side; return the gating failures."""
+    base = {identity(e): e for e in base_entries if isinstance(e, dict)}
+    cand = {identity(e): e for e in cand_entries if isinstance(e, dict)}
+    failures = []
+    print(f"\n== {section}[] ==")
+    print(f"{'entry':<60} {'field':<20} {'baseline':>11} "
+          f"{'candidate':>11} {'ratio':>8}")
+    for key, b in base.items():
+        name = label(b)
+        c = cand.get(key)
+        if c is None:
+            print(f"{name:<60} (missing in candidate)")
+            if section == GATED:
+                failures.append(f"{name}: missing in candidate")
             continue
-        chained = results.get((name, kind, "chained", shape))
-        if chained is not None and seconds > 0:
-            ratios[(name, kind, shape)] = chained / seconds
-    return ratios
-
-
-def print_fusion_summary(baseline, candidate):
-    """Side-by-side fused-over-chained ratios.  Informational only: the
-    regression gate already covers the underlying seconds_per_call entries,
-    so a fusion-win shrinking shows up here without double-failing the run."""
-    base = fusion_ratios(baseline)
-    cand = fusion_ratios(candidate)
-    keys = sorted(set(base) | set(cand))
-    if not keys:
-        return
-    print(f"\n{'fused-over-chained speedup':<50} {'baseline':>12} {'candidate':>12}")
-    for key in keys:
-        label = " ".join(filter(None, key))
-        fmt = lambda r: f"{r:.2f}x" if r is not None else "-"
-        print(f"{label:<50} {fmt(base.get(key)):>12} {fmt(cand.get(key)):>12}")
-
-
-def expr_overhead_ratios(results):
-    """expression-front-end cost per (name, kind, shape): the "expr" series
-    (natural syntax through core/ops/expr.hpp) over the handwritten "fused"
-    ops::lincomb series it flattens to.  ~1.0 is the zero-overhead claim."""
-    ratios = {}
-    for (name, kind, impl, shape), seconds in results.items():
-        if impl != "expr":
-            continue
-        fused = results.get((name, kind, "fused", shape))
-        if fused is not None and fused > 0:
-            ratios[(name, kind, shape)] = seconds / fused
-    return ratios
-
-
-def print_expr_overhead_summary(baseline, candidate):
-    """Side-by-side expr-over-fused ratios.  Informational like the fusion
-    summary (the seconds_per_call gate covers the entries), but flags a
-    candidate ratio drifting past 1.10 — the expression layer is supposed to
-    be free, so sustained overhead there is a front-end bug, not noise."""
-    base = expr_overhead_ratios(baseline)
-    cand = expr_overhead_ratios(candidate)
-    keys = sorted(set(base) | set(cand))
-    if not keys:
-        return
-    print(f"\n{'expression cost over handwritten lincomb':<50} "
-          f"{'baseline':>12} {'candidate':>12}")
-    for key in keys:
-        label = " ".join(filter(None, key))
-        fmt = lambda r: f"{r:.2f}x" if r is not None else "-"
-        flag = ""
-        ratio = cand.get(key)
-        if ratio is not None and ratio > 1.10:
-            flag = "  <-- expected ~1.00x"
-        print(f"{label:<50} {fmt(base.get(key)):>12} {fmt(ratio):>12}{flag}")
-
-
-def load_backends(path):
-    return {
-        (r["name"], r["impl"], r["shape"]): r
-        for r in load_json(path).get("backends", [])
-    }
-
-
-def print_backend_summary(baseline, candidate):
-    """Per-SIMD-backend speedup-over-scalar, side by side.  Warn-only (see
-    module docstring): flags a candidate SIMD backend that lost its scalar
-    speedup for the tentpole kernels, but never fails the run."""
-    keys = sorted(set(baseline) | set(candidate))
-    if not keys:
-        return
-    print(f"\n{'backend speedup over scalar':<50} {'baseline':>12} {'candidate':>12}")
-    for key in keys:
-        name, impl, shape = key
-        if impl == "scalar":
-            continue
-        label = f"{name} {impl} {shape}"
-        fmt = lambda r: f"{r['speedup_over_scalar']:.2f}x" if r else "-"
-        flag = ""
-        record = candidate.get(key)
-        if record is not None and record["speedup_over_scalar"] < 1.0:
-            flag = "  <-- SIMD slower than scalar (warn-only)"
-        print(f"{label:<50} {fmt(baseline.get(key)):>12} {fmt(record):>12}{flag}")
-
-
-def load_checksum_overheads(path):
-    # Baselines recorded before the checksummed v3 container existed simply
-    # lack the section; an empty dict renders as "-" columns, never an error.
-    return {
-        (r["name"], r["shape"]): r
-        for r in load_json(path).get("checksum_overheads", [])
-    }
-
-
-def print_checksum_summary(baseline, candidate):
-    """Checksummed-container (v3) cost over the unchecksummed v2 layout, in
-    time and bytes, side by side.  Warn-only: flags a candidate whose CRC
-    pass costs more than 15% serialize/deserialize time — the integrity
-    layer is supposed to ride inside the already-parallel chunk loops."""
-    keys = sorted(set(baseline) | set(candidate))
-    if not keys:
-        return
-    print(f"\n{'checksummed container v3/v2 (time, bytes)':<50} "
-          f"{'baseline':>16} {'candidate':>16}")
-    for key in keys:
-        name, shape = key
-        label = f"{name} {shape}"
-
-        def fmt(record):
-            if not record:
-                return "-"
-            return (f"{record['v3_over_v2_time']:.2f}x "
-                    f"{record['v3_over_v2_bytes']:.4f}x")
-
-        flag = ""
-        record = candidate.get(key)
-        if record is not None and record["v3_over_v2_time"] > 1.15:
-            flag = "  <-- checksum pass >15% (warn-only)"
-        print(f"{label:<50} {fmt(baseline.get(key)):>16} "
-              f"{fmt(record):>16}{flag}")
-
-
-def load_cache(path):
-    # Baselines recorded before the decoded-block cache existed simply lack
-    # the section; an empty dict renders as "-" columns, never an error.
-    return {
-        (r["name"], r["impl"], r["shape"]): r
-        for r in load_json(path).get("cache", [])
-    }
-
-
-def cache_roi_speedups(cache):
-    """cached-over-full hot-ROI read ratio per shape — the decoded-block
-    cache's headline acceptance number (>= 5x on a cache-resident hot set)."""
-    ratios = {}
-    for (name, impl, shape), record in cache.items():
-        if name != "roi_read" or impl != "cached":
-            continue
-        full = cache.get((name, "full", shape))
-        if full and record["seconds_per_call"] > 0:
-            ratios[shape] = (
-                full["seconds_per_call"] / record["seconds_per_call"]
-            )
-    return ratios
-
-
-def print_cache_summary(baseline, candidate):
-    """Decoded-block cache entries (bench_block_cache) side by side, with the
-    measured hit rate per entry and the cached-over-full ROI-read speedup.
-    Warn-only, like backends[]: cache timings on a loaded runner are too
-    noisy to gate, so a lost speedup prints a flag, never a failure."""
-    keys = sorted(set(baseline) | set(candidate))
-    if not keys:
-        return
-    print(f"\n{'decoded-block cache':<50} {'baseline':>18} {'candidate':>18}")
-    for key in keys:
-        name, impl, shape = key
-        label = f"{name} {impl} {shape}"
-
-        def fmt(record):
-            if not record:
-                return "-"
-            cell = f"{record['seconds_per_call'] * 1e9:.0f}ns"
-            if record.get("hit_rate", -1) >= 0:
-                cell += f" {record['hit_rate'] * 100:.0f}%h"
-            return cell
-
-        print(f"{label:<50} {fmt(baseline.get(key)):>18} "
-              f"{fmt(candidate.get(key)):>18}")
-    base_roi = cache_roi_speedups(baseline)
-    cand_roi = cache_roi_speedups(candidate)
-    for shape in sorted(set(base_roi) | set(cand_roi)):
-        fmt = lambda r: f"{r:.1f}x" if r is not None else "-"
-        flag = ""
-        ratio = cand_roi.get(shape)
-        if ratio is not None and ratio < 5.0:
-            flag = "  <-- <5x hot-ROI speedup (warn-only)"
-        print(f"{'roi_read cached over full ' + shape:<50} "
-              f"{fmt(base_roi.get(shape)):>18} {fmt(ratio):>18}{flag}")
-
-
-def load_batch(path):
-    # Baselines recorded before batched evaluation existed simply lack the
-    # section; an empty dict renders as "-" columns, never an error.
-    return {
-        (r["name"], r["impl"], r["shape"]): r
-        for r in load_json(path).get("batch", [])
-    }
-
-
-def batch_speedups(batch):
-    """batch-over-sequential ratio per (name, shape) — >= 1.5x on the
-    shared3of4_i32 row is the batched-evaluation acceptance number; the
-    shared3of4_i8 and noshare rows are expected to sit near 1.0x."""
-    ratios = {}
-    for (name, impl, shape), record in batch.items():
-        if impl != "batch":
-            continue
-        sequential = batch.get((name, "sequential", shape))
-        if sequential and record["seconds_per_call"] > 0:
-            ratios[(name, shape)] = (
-                sequential["seconds_per_call"] / record["seconds_per_call"]
-            )
-    return ratios
-
-
-def print_batch_summary(baseline, candidate):
-    """Batched-evaluation entries (bench_lincomb_batch) side by side, with
-    the batch-over-sequential speedup per workload.  Warn-only, like
-    backends[]: the ratio depends on the recording host's cache hierarchy,
-    so a shrunken headline prints a flag, never a failure (the bench binary
-    itself hard-gates bit-identity)."""
-    keys = sorted(set(baseline) | set(candidate))
-    if not keys:
-        return
-    print(f"\n{'batched evaluation':<50} {'baseline':>14} {'candidate':>14}")
-    for key in keys:
-        name, impl, shape = key
-        label = f"{name} {impl} {shape}"
-        fmt = lambda r: f"{r['seconds_per_call'] * 1e6:.0f}us" if r else "-"
-        print(f"{label:<50} {fmt(baseline.get(key)):>14} "
-              f"{fmt(candidate.get(key)):>14}")
-    base_ratio = batch_speedups(baseline)
-    cand_ratio = batch_speedups(candidate)
-    for key in sorted(set(base_ratio) | set(cand_ratio)):
-        name, shape = key
-        fmt = lambda r: f"{r:.2f}x" if r is not None else "-"
-        flag = ""
-        ratio = cand_ratio.get(key)
-        if name == "shared3of4_i32" and ratio is not None and ratio < 1.5:
-            flag = "  <-- <1.5x batch speedup (warn-only)"
-        print(f"{name + ' batch over sequential ' + shape:<50} "
-              f"{fmt(base_ratio.get(key)):>14} {fmt(ratio):>14}{flag}")
-
-
-def overlap_ratios(concurrency):
-    """sharded-over-serialized aggregate throughput per (name, shape,
-    clients) — the scheduler-overlap acceptance ratio."""
-    ratios = {}
-    for (name, shape, mode, clients), record in concurrency.items():
-        if mode != "sharded":
-            continue
-        serialized = concurrency.get((name, shape, "serialized", clients))
-        if serialized and serialized["ops_per_second"] > 0:
-            ratios[(name, shape, clients)] = (
-                record["ops_per_second"] / serialized["ops_per_second"]
-            )
-    return ratios
-
-
-def print_concurrency_summary(baseline, candidate):
-    """Multi-client throughput/latency side by side plus the overlap ratios.
-    Informational: concurrency cells are too machine-dependent (core count,
-    load) to hard-gate, and the kernel seconds_per_call gate already covers
-    the underlying single-client hot paths."""
-    keys = sorted(set(baseline) | set(candidate), key=str)
-    if not keys:
-        return
-    print(f"\n{'multi-client throughput (ops/s)':<50} {'baseline':>12} {'candidate':>12}")
-    for key in keys:
-        name, shape, mode, clients = key
-        label = f"{name} {shape} {mode} x{clients}"
-        fmt = lambda r: f"{r['ops_per_second']:.1f}" if r else "-"
-        print(f"{label:<50} {fmt(baseline.get(key)):>12} {fmt(candidate.get(key)):>12}")
-
-    def latency_cell(record, field):
-        # Baselines recorded before the p99 column existed simply lack the
-        # key; render "-" rather than KeyError so old JSON stays comparable.
-        if not record or field not in record:
-            return "-"
-        return f"{record[field] * 1e3:.2f}ms"
-
-    print(f"\n{'multi-client latency p50/p95/p99':<50} {'baseline':>26} {'candidate':>26}")
-    for key in keys:
-        name, shape, mode, clients = key
-        label = f"{name} {shape} {mode} x{clients}"
-        cols = []
-        for record in (baseline.get(key), candidate.get(key)):
-            cols.append("/".join(
-                latency_cell(record, f)
-                for f in ("p50_seconds", "p95_seconds", "p99_seconds")))
-        print(f"{label:<50} {cols[0]:>26} {cols[1]:>26}")
-    base_overlap = overlap_ratios(baseline)
-    cand_overlap = overlap_ratios(candidate)
-    overlap_keys = sorted(set(base_overlap) | set(cand_overlap), key=str)
-    if overlap_keys:
-        print(f"\n{'overlap: sharded over serialized':<50} {'baseline':>12} {'candidate':>12}")
-        for key in overlap_keys:
-            name, shape, clients = key
-            label = f"{name} {shape} x{clients}"
-            fmt = lambda r: f"{r:.2f}x" if r is not None else "-"
+        for field, bv in b.items():
+            cv = c.get(field)
+            if not isinstance(bv, float) or not isinstance(cv, float):
+                continue
+            ratio = cv / bv if bv else float("inf")
             flag = ""
-            ratio = cand_overlap.get(key)
-            if ratio is not None and clients >= 2 and ratio < 1.2:
-                flag = "  <-- <1.2x (expected only on single-core/loaded hosts)"
-            print(f"{label:<50} {fmt(base_overlap.get(key)):>12} {fmt(ratio):>12}{flag}")
+            if (section == GATED and field == "seconds_per_call"
+                    and ratio > 1.0 + threshold):
+                flag = "  <-- REGRESSION"
+                failures.append(f"{name}: {ratio:.2f}x slower")
+            print(f"{name:<60} {field:<20} {bv:>11.4g} {cv:>11.4g} "
+                  f"{ratio:>7.2f}x{flag}")
+    for key, c in cand.items():
+        if key not in base:
+            print(f"{label(c):<60} (new in candidate)")
+    return failures
 
 
 def main():
@@ -379,106 +78,27 @@ def main():
     parser.add_argument("baseline")
     parser.add_argument("candidate")
     parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="fractional slowdown that counts as a regression (default 0.10)",
-    )
-    parser.add_argument(
-        "--concurrency-only",
-        action="store_true",
-        help="compare only the concurrency[] sections (bench_multi_client "
-        "candidates have no kernel results[]); always informational",
-    )
-    parser.add_argument(
-        "--cache-only",
-        action="store_true",
-        help="compare only the cache[] sections (bench_block_cache "
-        "candidates have no kernel results[]); always warn-only",
-    )
-    parser.add_argument(
-        "--batch-only",
-        action="store_true",
-        help="compare only the batch[] sections (bench_lincomb_batch "
-        "candidates have no kernel results[]); always warn-only",
-    )
+        "--threshold", type=float, default=0.10,
+        help="fractional results[] slowdown that counts as a regression "
+        "(default 0.10)")
     args = parser.parse_args()
 
-    if args.concurrency_only:
-        print_concurrency_summary(
-            load_concurrency(args.baseline), load_concurrency(args.candidate)
-        )
-        return 0
+    baseline = load(args.baseline)
+    candidate = load(args.candidate)
+    failures = []
+    for section, entries in candidate.items():
+        if isinstance(entries, list):
+            failures += compare(section, baseline.get(section, []), entries,
+                                args.threshold)
 
-    if args.cache_only:
-        print_cache_summary(load_cache(args.baseline),
-                            load_cache(args.candidate))
-        return 0
-
-    if args.batch_only:
-        print_batch_summary(load_batch(args.baseline),
-                            load_batch(args.candidate))
-        return 0
-
-    baseline = load_results(args.baseline)
-    candidate = load_results(args.candidate)
-
-    regressions = []
-    missing = []
-    print(f"{'benchmark':<50} {'baseline':>12} {'candidate':>12} {'ratio':>8}")
-    for key in sorted(baseline):
-        if key not in candidate:
-            label = " ".join(filter(None, key))
-            print(f"{label:<50} {'(missing in candidate)':>34}")
-            missing.append(label)
-            continue
-        base, cand = baseline[key], candidate[key]
-        ratio = cand / base if base > 0 else float("inf")
-        label = " ".join(filter(None, key))
-        flag = ""
-        if ratio > 1.0 + args.threshold:
-            flag = "  <-- REGRESSION"
-            regressions.append((label, ratio))
-        print(f"{label:<50} {base * 1e9:>10.1f}ns {cand * 1e9:>10.1f}ns {ratio:>7.2f}x{flag}")
-    for key in sorted(set(candidate) - set(baseline)):
-        print(f"{' '.join(filter(None, key)):<50} {'(new in candidate)':>34}")
-
-    print_fusion_summary(baseline, candidate)
-    print_expr_overhead_summary(baseline, candidate)
-    print_backend_summary(load_backends(args.baseline),
-                          load_backends(args.candidate))
-    print_checksum_summary(load_checksum_overheads(args.baseline),
-                           load_checksum_overheads(args.candidate))
-    print_cache_summary(load_cache(args.baseline), load_cache(args.candidate))
-    # Like concurrency below: the routine bench_micro_kernels candidate has
-    # no batch[] section, and a baseline-only table would read as missing.
-    candidate_batch = load_batch(args.candidate)
-    if candidate_batch:
-        print_batch_summary(load_batch(args.baseline), candidate_batch)
-    # Engage only when the candidate actually carries concurrency cells: the
-    # routine CI candidate comes from bench_micro_kernels, which has none,
-    # and a silent baseline-only table would just read as missing data.
-    candidate_concurrency = load_concurrency(args.candidate)
-    if candidate_concurrency:
-        print_concurrency_summary(load_concurrency(args.baseline),
-                                  candidate_concurrency)
-
-    failed = False
-    if missing:
-        print(f"\n{len(missing)} baseline benchmark(s) missing from the "
-              f"candidate:", file=sys.stderr)
-        for label in missing:
-            print(f"  {label}", file=sys.stderr)
-        failed = True
-    if regressions:
-        print(f"\n{len(regressions)} regression(s) above "
+    if failures:
+        print(f"\n{len(failures)} {GATED}[] failure(s) at threshold "
               f"{args.threshold:.0%}:", file=sys.stderr)
-        for label, ratio in regressions:
-            print(f"  {label}: {ratio:.2f}x slower", file=sys.stderr)
-        failed = True
-    if failed:
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"\nno regressions above {args.threshold:.0%}")
+    if GATED in candidate:
+        print(f"\nno {GATED}[] regressions above {args.threshold:.0%}")
     return 0
 
 

@@ -5,12 +5,12 @@ Usage:
     tools/bench_merge.py BASE.json EXTRA.json [-o OUT.json]
 
 The committed BENCH_kernels.json baseline is produced by four binaries:
-bench_micro_kernels writes the kernel sections (results/speedups/
-fusion_speedups/expr_overheads plus the per-SIMD-backend backends[] series),
+bench_micro_kernels writes the kernel sections (results[], the
+per-SIMD-backend backends[] series and the container checksums[] series),
 bench_multi_client writes concurrency[], bench_block_cache writes the
 decoded-block cache[] series, and bench_lincomb_batch writes the batched
-expression-evaluation batch[] series (identified by name/impl/shape, merged
-like any other section).
+expression-evaluation batch[] series.  All of them write raw rows only
+(bench/bench_util.hpp); ratios are printed by the binaries, never stored.
 This script folds every non-empty top-level list section of EXTRA into BASE —
 entries whose identity (name/kind/impl/shape/mode/clients) matches an
 existing one replace it, new identities append — and writes the merged file

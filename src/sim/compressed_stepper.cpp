@@ -71,8 +71,8 @@ void CompressedShallowWaterStepper::step() {
 }
 
 void CompressedShallowWaterStepper::step_forward_backward() {
-  SweTendencies tendencies;
-  model_.step(&tendencies);
+  const SweTendencies& tendencies = fb_stages_;
+  model_.step(&fb_stages_);
   const double dt = model_.config().dt;
 
   // Each track advances by the natural form of the model's own update; every
@@ -90,8 +90,8 @@ void CompressedShallowWaterStepper::step_forward_backward() {
 }
 
 void CompressedShallowWaterStepper::step_rk2() {
-  SweRk2Tendencies stages;
-  model_.step_rk2(&stages);
+  const SweRk2Tendencies& stages = rk2_stages_;
+  model_.step_rk2(&rk2_stages_);
   const double half_dt = 0.5 * model_.config().dt;
 
   // The full 2-stage Heun combine per track, still ONE fused lincomb (one
@@ -115,8 +115,8 @@ void CompressedShallowWaterStepper::step_rk2() {
 }
 
 void CompressedShallowWaterStepper::step_rk4() {
-  SweRk4Tendencies stages;
-  model_.step_rk4(&stages);
+  const SweRk4Tendencies& stages = rk4_stages_;
+  model_.step_rk4(&rk4_stages_);
   const double dt = model_.config().dt;
   const double sixth = dt / 6.0;
   const double third = dt / 3.0;

@@ -177,6 +177,12 @@ class CompressedShallowWaterStepper {
   CompressedStateStepper u_;
   CompressedStateStepper v_;
   SweScheme scheme_;
+  // The model's tendency output, one struct per scheme, passed on every
+  // step so its fields are allocated on the first step and reused after
+  // (only the running scheme's struct ever holds storage).
+  SweTendencies fb_stages_;
+  SweRk2Tendencies rk2_stages_;
+  SweRk4Tendencies rk4_stages_;
 };
 
 /// Compressed-form fission exposure integral: the trapezoid-rule time

@@ -26,6 +26,11 @@ double wind_tau_x(double y, const SweConfig& c) {
   return -c.wind_stress * std::cos(2.0 * std::numbers::pi * y / c.ly);
 }
 
+/// Give @p field @p shape, reusing its storage when it already has it.
+void fit(NDArray<double>& field, const Shape& shape) {
+  if (field.shape() != shape) field = NDArray<double>(shape);
+}
+
 }  // namespace
 
 ShallowWaterModel::ShallowWaterModel(const SweConfig& config)
@@ -36,7 +41,7 @@ ShallowWaterModel::ShallowWaterModel(const SweConfig& config)
       v_(Shape{config.nx, config.ny + 1}),
       eta_(Shape{config.nx, config.ny}),
       depth_field_(Shape{config.nx, config.ny}),
-      wind_u_(Shape{config.nx + 1, config.ny}) {
+      wind_u_(static_cast<std::size_t>(config.ny)) {
   const index_t nx = config_.nx;
   const index_t ny = config_.ny;
 
@@ -49,11 +54,10 @@ ShallowWaterModel::ShallowWaterModel(const SweConfig& config)
   }
 
   // Wind acceleration tau_x / (rho * H) evaluated at u points.
-  for (index_t i = 0; i <= nx; ++i) {
-    for (index_t j = 0; j < ny; ++j) {
-      const double y = (static_cast<double>(j) + 0.5) * dy_;
-      wind_u_[i * ny + j] = wind_tau_x(y, config_) / (config_.rho * config_.depth);
-    }
+  for (index_t j = 0; j < ny; ++j) {
+    const double y = (static_cast<double>(j) + 0.5) * dy_;
+    wind_u_[static_cast<std::size_t>(j)] =
+        wind_tau_x(y, config_) / (config_.rho * config_.depth);
   }
 
   // Seed a smooth surface-height perturbation so precision differences have
@@ -73,6 +77,13 @@ void ShallowWaterModel::apply_precision() {
   eta_.map_inplace([p](double x) { return pyblaz::quantize(x, p); });
 }
 
+void ShallowWaterModel::save_start_state() {
+  // Copy-assignment keeps the members' storage once they have the shape.
+  u0_ = u_;
+  v0_ = v_;
+  eta0_ = eta_;
+}
+
 void ShallowWaterModel::step() { step(nullptr); }
 
 void ShallowWaterModel::step(SweTendencies* tendencies) {
@@ -85,22 +96,27 @@ void ShallowWaterModel::step(SweTendencies* tendencies) {
   const double drag = config_.bottom_friction;
   const double nu = config_.viscosity;
 
-  NDArray<double> u_new = u_;
-  NDArray<double> v_new = v_;
-  if (tendencies) {
-    tendencies->flux_x = NDArray<double>(eta_.shape());
-    tendencies->flux_y = NDArray<double>(eta_.shape());
-    // Zero-initialized, so the closed-wall faces (where the velocities are
-    // pinned to zero and stay zero) carry exactly the zero tendency the
-    // update contract promises.
-    tendencies->du = NDArray<double>(u_.shape());
-    tendencies->dv = NDArray<double>(v_.shape());
+  SweTendencies& t = tendencies ? *tendencies : scratch_;
+  fit(t.flux_x, eta_.shape());
+  fit(t.flux_y, eta_.shape());
+  fit(t.du, u_.shape());
+  fit(t.dv, v_.shape());
+  // The closed-wall faces, where the velocities are pinned to zero, carry
+  // exactly the zero tendency the update contract promises; the stencils
+  // below overwrite every other cell.
+  for (index_t j = 0; j < ny; ++j) {
+    t.du[0 * ny + j] = 0.0;
+    t.du[nx * ny + j] = 0.0;
+  }
+  for (index_t i = 0; i < nx; ++i) {
+    t.dv[i * (ny + 1) + 0] = 0.0;
+    t.dv[i * (ny + 1) + ny] = 0.0;
   }
 
   // --- Momentum step (forward): uses current eta. ---
-  // u update at interior u points (i = 1..nx-1).
-  // Each row writes a disjoint slice of u_new from the previous state, so
-  // the update is value-deterministic under any chunking.
+  // du at interior u points (i = 1..nx-1).
+  // Each row writes a disjoint slice of du from the previous state, so the
+  // tendency is value-deterministic under any chunking.
   pyblaz::parallel::parallel_for(1, nx, 8, [&](index_t row_begin,
                                                index_t row_end) {
   for (index_t i = row_begin; i < row_end; ++i) {
@@ -124,23 +140,13 @@ void ShallowWaterModel::step(SweTendencies* tendencies) {
       const double lap = (u_xp - 2.0 * u_c + u_xm) * inv_dx * inv_dx +
                          (u_yp - 2.0 * u_c + u_ym) * inv_dy * inv_dy;
 
-      // Named so the exported momentum tendency is the exact value the
-      // update multiplies by dt (same arithmetic as the former inline form;
-      // -ffp-contract=off keeps the two spellings bit-identical).
-      const double du = f * v_avg - g * deta_dx - drag * u_c + nu * lap +
-                        wind_u_[i * ny + j];
-      u_new[i * ny + j] = u_c + dt * du;
-      if (tendencies) tendencies->du[i * ny + j] = du;
+      t.du[i * ny + j] = f * v_avg - g * deta_dx - drag * u_c + nu * lap +
+                         wind_u_[static_cast<std::size_t>(j)];
     }
   }
   });
-  // Closed walls: zero normal flow.
-  for (index_t j = 0; j < ny; ++j) {
-    u_new[0 * ny + j] = 0.0;
-    u_new[nx * ny + j] = 0.0;
-  }
 
-  // v update at interior v points (j = 1..ny-1).
+  // dv at interior v points (j = 1..ny-1).
   pyblaz::parallel::parallel_for(0, nx, 8, [&](index_t row_begin,
                                                index_t row_end) {
   for (index_t i = row_begin; i < row_end; ++i) {
@@ -161,15 +167,33 @@ void ShallowWaterModel::step(SweTendencies* tendencies) {
       const double lap = (v_xp - 2.0 * v_c + v_xm) * inv_dx * inv_dx +
                          (v_yp - 2.0 * v_c + v_ym) * inv_dy * inv_dy;
 
-      const double dv = -f * u_avg - g * deta_dy - drag * v_c + nu * lap;
-      v_new[i * (ny + 1) + j] = v_c + dt * dv;
-      if (tendencies) tendencies->dv[i * (ny + 1) + j] = dv;
+      t.dv[i * (ny + 1) + j] = -f * u_avg - g * deta_dy - drag * v_c + nu * lap;
     }
   }
   });
+
+  // Both stencils have read the old velocities, so the update applies in
+  // place: u' = u + dt * du, the exact value and spelling the exported
+  // tendency promises (-ffp-contract=off keeps it bit-identical).  Row i
+  // holds u's row i and, for i < nx, v's row i.
+  pyblaz::parallel::parallel_for(0, nx + 1, 8, [&](index_t row_begin,
+                                                   index_t row_end) {
+    for (index_t i = row_begin; i < row_end; ++i) {
+      for (index_t k = i * ny; k < (i + 1) * ny; ++k)
+        u_[k] = u_[k] + dt * t.du[k];
+      if (i == nx) continue;
+      for (index_t k = i * (ny + 1); k < (i + 1) * (ny + 1); ++k)
+        v_[k] = v_[k] + dt * t.dv[k];
+    }
+  });
+  // Closed walls: zero normal flow.
+  for (index_t j = 0; j < ny; ++j) {
+    u_[0 * ny + j] = 0.0;
+    u_[nx * ny + j] = 0.0;
+  }
   for (index_t i = 0; i < nx; ++i) {
-    v_new[i * (ny + 1) + 0] = 0.0;
-    v_new[i * (ny + 1) + ny] = 0.0;
+    v_[i * (ny + 1) + 0] = 0.0;
+    v_[i * (ny + 1) + ny] = 0.0;
   }
 
   // --- Continuity step (backward): uses the new velocities. ---
@@ -184,20 +208,16 @@ void ShallowWaterModel::step(SweTendencies* tendencies) {
       const double h_ym = j > 0 ? 0.5 * (h_c + depth_field_[i * ny + j - 1]) : h_c;
       const double h_yp = j < ny - 1 ? 0.5 * (h_c + depth_field_[i * ny + j + 1]) : h_c;
 
-      const double flux_x = (h_xp * u_new[(i + 1) * ny + j] - h_xm * u_new[i * ny + j]) * inv_dx;
-      const double flux_y = (h_yp * v_new[i * (ny + 1) + j + 1] - h_ym * v_new[i * (ny + 1) + j]) * inv_dy;
+      const double flux_x = (h_xp * u_[(i + 1) * ny + j] - h_xm * u_[i * ny + j]) * inv_dx;
+      const double flux_y = (h_yp * v_[i * (ny + 1) + j + 1] - h_ym * v_[i * (ny + 1) + j]) * inv_dy;
 
       eta_[i * ny + j] -= dt * (flux_x + flux_y);
-      if (tendencies) {
-        tendencies->flux_x[i * ny + j] = flux_x;
-        tendencies->flux_y[i * ny + j] = flux_y;
-      }
+      t.flux_x[i * ny + j] = flux_x;
+      t.flux_y[i * ny + j] = flux_y;
     }
   }
   });
 
-  u_ = std::move(u_new);
-  v_ = std::move(v_new);
   apply_precision();
   ++steps_taken_;
 }
@@ -208,9 +228,10 @@ void ShallowWaterModel::step_rk2(SweRk2Tendencies* tendencies) {
   SweRk2Tendencies local;
   SweRk2Tendencies* stages = tendencies ? tendencies : &local;
 
-  const NDArray<double> u0 = u_;
-  const NDArray<double> v0 = v_;
-  const NDArray<double> eta0 = eta_;
+  save_start_state();
+  const NDArray<double>& u0 = u0_;
+  const NDArray<double>& v0 = v0_;
+  const NDArray<double>& eta0 = eta0_;
 
   // Heun over the forward-backward operator: stage 1 is a full FB step from
   // the start state (its exported tendencies are k1 and its result the
@@ -258,9 +279,10 @@ void ShallowWaterModel::step_rk4(SweRk4Tendencies* tendencies) {
   SweRk4Tendencies local;
   SweRk4Tendencies* stages = tendencies ? tendencies : &local;
 
-  const NDArray<double> u0 = u_;
-  const NDArray<double> v0 = v_;
-  const NDArray<double> eta0 = eta_;
+  save_start_state();
+  const NDArray<double>& u0 = u0_;
+  const NDArray<double>& v0 = v0_;
+  const NDArray<double>& eta0 = eta0_;
 
   const double dt = config_.dt;
 

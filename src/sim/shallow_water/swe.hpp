@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/dtypes/float_type.hpp"
 #include "core/ndarray/ndarray.hpp"
@@ -55,8 +56,12 @@ struct SweConfig {
 ///   v'   = v   + dt * dv,
 ///   eta' = eta - dt * flux_x - dt * flux_y,
 /// so a compressed shadow of each prognostic field can advance by one fused
-/// lincomb per step.  The tendencies are populated only when a caller asks
-/// (step(&tendencies)); a plain step() touches none of these arrays.
+/// lincomb per step.  Every step evaluates its tendencies into such a struct:
+/// the caller's (step(&tendencies)) or, for a plain step(), one the model
+/// owns.  A field that already has the step's shape is reused: its
+/// closed-wall faces are re-zeroed and every other cell is overwritten, so
+/// passing the same struct each step allocates nothing after the first.  A
+/// field of any other shape (a fresh struct's empty ones) is reallocated.
 struct SweTendencies {
   NDArray<double> flux_x;  ///< (nx, ny): x-contribution of div(H u).
   NDArray<double> flux_y;  ///< (nx, ny): y-contribution of div(H u).
@@ -75,6 +80,7 @@ struct SweTendencies {
 ///   eta' = eta - (dt/2) * fx1 - (dt/2) * fy1 - (dt/2) * fx2 - (dt/2) * fy2,
 /// so a compressed shadow of the height advances by one fused 5-operand
 /// lincomb per step and each momentum track by one fused 3-operand lincomb.
+/// Each stage follows SweTendencies' reuse contract.
 struct SweRk2Tendencies {
   SweTendencies stage1;  ///< Tendencies evaluated at the step's start state.
   SweTendencies stage2;  ///< Tendencies evaluated at the predicted state.
@@ -87,6 +93,7 @@ struct SweRk2Tendencies {
 ///   eta' = eta - s*fx1 - s*fy1 - t*fx2 - t*fy2 - t*fx3 - t*fy3 - s*fx4 - s*fy4,
 /// so a compressed shadow of the height advances by one fused 9-operand
 /// lincomb per step and each momentum track by one fused 5-operand lincomb.
+/// Each stage follows SweTendencies' reuse contract.
 struct SweRk4Tendencies {
   SweTendencies stage1;  ///< Evaluated at the step's start state S0.
   SweTendencies stage2;  ///< Evaluated at S0 + (dt/2) k1.
@@ -113,7 +120,8 @@ class ShallowWaterModel {
   /// a compressed shadow of the state can be advanced by the same update
   /// (one fused lincomb per field) without re-deriving the physics.  The
   /// arithmetic is identical to step(): the tendencies are the exact values
-  /// the state update multiplied by dt.
+  /// the state update multiplied by dt.  Passing the same struct every step
+  /// reuses its storage (see SweTendencies); a null @p tendencies is step().
   void step(SweTendencies* tendencies);
 
   /// Advance one RK2 (Heun) step built from two forward-backward stages:
@@ -127,7 +135,9 @@ class ShallowWaterModel {
   /// step_rk2(), additionally exporting both stages' tendency fields so a
   /// compressed shadow can advance by the identical 2-stage combine — a
   /// 5-term expression for height, 3-term for each momentum component
-  /// (sim/compressed_stepper.hpp).
+  /// (sim/compressed_stepper.hpp).  Passing the same struct every step
+  /// reuses its storage; a null @p tendencies is step_rk2(), whose stage
+  /// fields live only for the call.
   void step_rk2(SweRk2Tendencies* tendencies);
 
   /// Advance one classical RK4 step built from four forward-backward stages:
@@ -142,7 +152,9 @@ class ShallowWaterModel {
   /// step_rk4(), additionally exporting all four stages' tendency fields so
   /// a compressed shadow can advance by the identical 4-stage combine — a
   /// 9-term expression for height, 5-term for each momentum component
-  /// (sim/compressed_stepper.hpp).
+  /// (sim/compressed_stepper.hpp).  Passing the same struct every step
+  /// reuses its storage; a null @p tendencies is step_rk4(), whose stage
+  /// fields live only for the call.
   void step_rk4(SweRk4Tendencies* tendencies);
 
   /// Advance @p steps steps.
@@ -174,6 +186,8 @@ class ShallowWaterModel {
 
  private:
   void apply_precision();
+  /// Copy the state into u0_/v0_/eta0_: the start state S0 of an RK step.
+  void save_start_state();
 
   SweConfig config_;
   double dx_, dy_;
@@ -181,7 +195,13 @@ class ShallowWaterModel {
   NDArray<double> v_;            // (nx, ny+1)
   NDArray<double> eta_;          // (nx, ny)
   NDArray<double> depth_field_;  // (nx, ny)
-  NDArray<double> wind_u_;       // (nx+1, ny): wind acceleration at u points.
+  // Wind acceleration at u points, indexed by j: it varies with y only, so
+  // one row serves every x-face.
+  std::vector<double> wind_u_;
+  // Buffers reused across steps, empty until the first step that needs
+  // them: the tendencies of a plain step() and the RK start state S0.
+  SweTendencies scratch_;
+  NDArray<double> u0_, v0_, eta0_;
   int steps_taken_ = 0;
 };
 

@@ -11,8 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
+#include "core/codec/serialization.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/ops/expr.hpp"
 #include "core/ops/ops.hpp"
@@ -105,6 +111,139 @@ TEST(SweTendencies, TendenciesReconstructTheMomentumUpdates) {
     EXPECT_EQ(tendencies.dv[i * (ny + 1) + 0], 0.0);
     EXPECT_EQ(tendencies.dv[i * (ny + 1) + ny], 0.0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The reuse contract: a tendencies struct passed on every step keeps its
+// storage, and what it holds equals a fresh struct's, bit for bit.
+
+constexpr NDArray<double> sim::SweTendencies::*kTendencyFields[] = {
+    &sim::SweTendencies::flux_x, &sim::SweTendencies::flux_y,
+    &sim::SweTendencies::du, &sim::SweTendencies::dv};
+
+std::vector<sim::SweTendencies*> stages_of(sim::SweTendencies& t) {
+  return {&t};
+}
+std::vector<sim::SweTendencies*> stages_of(sim::SweRk2Tendencies& t) {
+  return {&t.stage1, &t.stage2};
+}
+std::vector<sim::SweTendencies*> stages_of(sim::SweRk4Tendencies& t) {
+  return {&t.stage1, &t.stage2, &t.stage3, &t.stage4};
+}
+
+void step_with(sim::ShallowWaterModel& model, sim::SweTendencies* t) {
+  model.step(t);
+}
+void step_with(sim::ShallowWaterModel& model, sim::SweRk2Tendencies* t) {
+  model.step_rk2(t);
+}
+void step_with(sim::ShallowWaterModel& model, sim::SweRk4Tendencies* t) {
+  model.step_rk4(t);
+}
+
+/// Raw-bit equality: unlike ==, it tells NaN from NaN and -0 from +0.
+bool same_bits(const NDArray<double>& a, const NDArray<double>& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * a.vector().size()) == 0;
+}
+
+bool same_state(const sim::ShallowWaterModel& a,
+                const sim::ShallowWaterModel& b) {
+  return same_bits(a.velocity_u(), b.velocity_u()) &&
+         same_bits(a.velocity_v(), b.velocity_v()) &&
+         same_bits(a.surface_height(), b.surface_height());
+}
+
+/// Steps one model with @p reused (its fields pre-set by the caller) and
+/// another with a fresh struct per step, checking the contract each step.
+template <typename Stages>
+void check_reuse_contract(Stages& reused) {
+  const sim::SweConfig config = small_swe();
+  const index_t nx = config.nx;
+  const index_t ny = config.ny;
+  sim::ShallowWaterModel reusing(config);
+  sim::ShallowWaterModel fresh(config);
+  std::vector<const double*> first_pointers;
+  for (int step = 0; step < 5; ++step) {
+    Stages each;
+    step_with(reusing, &reused);
+    step_with(fresh, &each);
+    ASSERT_TRUE(same_state(reusing, fresh)) << "step " << step;
+
+    const std::vector<sim::SweTendencies*> got = stages_of(reused);
+    const std::vector<sim::SweTendencies*> want = stages_of(each);
+    std::vector<const double*> pointers;
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      for (auto field : kTendencyFields) {
+        ASSERT_TRUE(same_bits(got[s]->*field, want[s]->*field))
+            << "step " << step << " stage " << s;
+        pointers.push_back((got[s]->*field).data());
+      }
+      // Wall faces hold +0 exactly (all bits clear).
+      for (index_t j = 0; j < ny; ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[s]->du[0 * ny + j]), 0u);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[s]->du[nx * ny + j]), 0u);
+      }
+      for (index_t i = 0; i < nx; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[s]->dv[i * (ny + 1)]), 0u);
+        EXPECT_EQ(
+            std::bit_cast<std::uint64_t>(got[s]->dv[i * (ny + 1) + ny]), 0u);
+      }
+    }
+    // No field is reallocated after the first step.
+    if (step == 0)
+      first_pointers = pointers;
+    else
+      EXPECT_EQ(pointers, first_pointers) << "step " << step;
+  }
+}
+
+/// @p stages with every field at its step shape and filled with NaN, so a
+/// cell the step failed to overwrite shows in the bit comparison.
+template <typename Stages>
+Stages nan_filled() {
+  const sim::SweConfig config = small_swe();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Stages stages;
+  for (sim::SweTendencies* t : stages_of(stages)) {
+    t->flux_x = NDArray<double>(Shape{config.nx, config.ny}, nan);
+    t->flux_y = NDArray<double>(Shape{config.nx, config.ny}, nan);
+    t->du = NDArray<double>(Shape{config.nx + 1, config.ny}, nan);
+    t->dv = NDArray<double>(Shape{config.nx, config.ny + 1}, nan);
+  }
+  return stages;
+}
+
+TEST(SweTendencies, ReusedStructMatchesFreshStructsForwardBackward) {
+  auto stages = nan_filled<sim::SweTendencies>();
+  check_reuse_contract(stages);
+}
+
+TEST(SweTendencies, ReusedStructMatchesFreshStructsRk2) {
+  auto stages = nan_filled<sim::SweRk2Tendencies>();
+  check_reuse_contract(stages);
+}
+
+TEST(SweTendencies, ReusedStructMatchesFreshStructsRk4) {
+  auto stages = nan_filled<sim::SweRk4Tendencies>();
+  check_reuse_contract(stages);
+}
+
+TEST(SweTendencies, WrongShapedFieldsAreResized) {
+  // Transposed, flattened, empty, and one row short: each is reallocated to
+  // its step shape and then holds what a fresh struct holds.
+  const sim::SweConfig config = small_swe();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  sim::SweTendencies stages;
+  stages.flux_x = NDArray<double>(Shape{config.ny, config.nx}, nan);
+  stages.du = NDArray<double>(Shape{(config.nx + 1) * config.ny}, nan);
+  stages.dv = NDArray<double>(Shape{config.nx - 1, config.ny + 1}, nan);
+  check_reuse_contract(stages);
+  EXPECT_EQ(stages.flux_x.shape(), Shape({config.nx, config.ny}));
+  EXPECT_EQ(stages.flux_y.shape(), Shape({config.nx, config.ny}));
+  EXPECT_EQ(stages.du.shape(), Shape({config.nx + 1, config.ny}));
+  EXPECT_EQ(stages.dv.shape(), Shape({config.nx, config.ny + 1}));
 }
 
 TEST(CompressedSweStepper, FusedErrorNoWorseThanChained) {
@@ -332,6 +471,81 @@ TEST(CompressedSweStepperRk4, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(run_track(), reference) << threads << " threads";
   }
   parallel::set_num_threads(0);
+}
+
+TEST(CompressedSweStepper, TracksMatchFromPartsWithFreshStructsAllSchemes) {
+  // The stepper reuses one tendencies struct across steps; driving the same
+  // step from its public parts with a fresh struct per step — model step,
+  // one compress per tendency field, one lincomb per track — must give the
+  // same tracks bit for bit, under every scheme.
+  const Compressor compressor(swe_track_settings());
+  for (sim::SweScheme scheme :
+       {sim::SweScheme::kForwardBackward, sim::SweScheme::kRk2,
+        sim::SweScheme::kRk4}) {
+    sim::CompressedShallowWaterStepper stepper(
+        small_swe(), swe_track_settings(), sim::LincombPath::kFused, scheme);
+    sim::ShallowWaterModel model(small_swe());
+    CompressedArray h = compressor.compress(model.surface_height());
+    CompressedArray u = compressor.compress(model.velocity_u());
+    CompressedArray v = compressor.compress(model.velocity_v());
+    const double dt = model.config().dt;
+    for (int step = 0; step < 5; ++step) {
+      stepper.step();
+
+      // Each stage's tendencies and its weight in the step's combine.
+      std::vector<sim::SweTendencies> k;
+      std::vector<double> w;
+      switch (scheme) {
+        case sim::SweScheme::kForwardBackward: {
+          sim::SweTendencies t;
+          model.step(&t);
+          k = {t};
+          w = {dt};
+          break;
+        }
+        case sim::SweScheme::kRk2: {
+          sim::SweRk2Tendencies t;
+          model.step_rk2(&t);
+          k = {t.stage1, t.stage2};
+          w = {0.5 * dt, 0.5 * dt};
+          break;
+        }
+        case sim::SweScheme::kRk4: {
+          sim::SweRk4Tendencies t;
+          model.step_rk4(&t);
+          k = {t.stage1, t.stage2, t.stage3, t.stage4};
+          w = {dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0};
+          break;
+        }
+      }
+      std::vector<CompressedArray> fx, fy, du, dv;
+      for (const sim::SweTendencies& t : k) {
+        fx.push_back(compressor.compress(t.flux_x));
+        fy.push_back(compressor.compress(t.flux_y));
+        du.push_back(compressor.compress(t.du));
+        dv.push_back(compressor.compress(t.dv));
+      }
+      std::vector<const CompressedArray*> h_ops{&h}, u_ops{&u}, v_ops{&v};
+      std::vector<double> h_w{1.0}, m_w{1.0};
+      for (std::size_t s = 0; s < k.size(); ++s) {
+        h_ops.insert(h_ops.end(), {&fx[s], &fy[s]});
+        h_w.insert(h_w.end(), {-w[s], -w[s]});
+        u_ops.push_back(&du[s]);
+        v_ops.push_back(&dv[s]);
+        m_w.push_back(w[s]);
+      }
+      h = ops::lincomb(h_ops, h_w);
+      u = ops::lincomb(u_ops, m_w);
+      v = ops::lincomb(v_ops, m_w);
+
+      ASSERT_EQ(serialize(stepper.compressed_height()), serialize(h))
+          << "scheme " << static_cast<int>(scheme) << " step " << step;
+      ASSERT_EQ(serialize(stepper.compressed_u()), serialize(u))
+          << "scheme " << static_cast<int>(scheme) << " step " << step;
+      ASSERT_EQ(serialize(stepper.compressed_v()), serialize(v))
+          << "scheme " << static_cast<int>(scheme) << " step " << step;
+    }
+  }
 }
 
 TEST(CompressedFissionExposure, FusedErrorNoWorseThanChainedAndSmall) {

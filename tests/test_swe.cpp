@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "core/codec/serialization.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/reference/reference.hpp"
+#include "sim/compressed_stepper.hpp"
 
 namespace {
 
@@ -273,6 +277,75 @@ TEST(ShallowWaterRk4, StaysCloseToRk2OverShortHorizons) {
   // a different ODE.
   EXPECT_GT(worst, 0.0);
   EXPECT_LT(worst, 0.25 * scale);
+}
+
+// ---------------------------------------------------------------------------
+// Golden bits: every scheme's state, raw and compressed, after 8 steps.
+
+/// 64-bit FNV-1a over @p bytes, continuing from @p hash.
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t hash = 14695981039346656037ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t k = 0; k < bytes; ++k) {
+    hash ^= p[k];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::uint64_t hash_state(const ShallowWaterModel& model) {
+  std::uint64_t hash = fnv1a(nullptr, 0);
+  for (const NDArray<double>* field :
+       {&model.velocity_u(), &model.velocity_v(), &model.surface_height()})
+    hash = fnv1a(field->data(), sizeof(double) * field->vector().size(), hash);
+  return hash;
+}
+
+std::uint64_t hash_tracks(const sim::CompressedShallowWaterStepper& stepper) {
+  std::uint64_t hash = fnv1a(nullptr, 0);
+  for (const pyblaz::CompressedArray* track :
+       {&stepper.compressed_height(), &stepper.compressed_u(),
+        &stepper.compressed_v()}) {
+    const std::vector<std::uint8_t> bytes = pyblaz::serialize(*track);
+    hash = fnv1a(bytes.data(), bytes.size(), hash);
+  }
+  return hash;
+}
+
+TEST(ShallowWater, GoldenBitsAllSchemes) {
+  // The constants were recorded by running this test on the model and the
+  // compressed stepper as of commit f2bdc55, before either reused its field
+  // buffers across steps (every step then copied u/v into fresh arrays and
+  // allocated fresh tendency fields).  Buffer reuse must not move a bit.
+  constexpr int kSteps = 8;
+  const struct {
+    const char* name;
+    void (ShallowWaterModel::*step)();
+    sim::SweScheme scheme;
+    std::uint64_t model_hash;
+    std::uint64_t tracks_hash;
+  } cases[] = {
+      {"forward-backward", &ShallowWaterModel::step,
+       sim::SweScheme::kForwardBackward, 0x104bcc6138777130ull,
+       0x415d0acdd4bbfe4eull},
+      {"rk2", &ShallowWaterModel::step_rk2, sim::SweScheme::kRk2,
+       0xd6f7a248db9b74eaull, 0xfb28c4108165abedull},
+      {"rk4", &ShallowWaterModel::step_rk4, sim::SweScheme::kRk4,
+       0x20eaa3b4a4fb1af5ull, 0xc88c82fa34be2311ull},
+  };
+  const pyblaz::CompressorSettings settings{
+      .block_shape = Shape{16, 16},
+      .float_type = FloatType::kFloat32,
+      .index_type = pyblaz::IndexType::kInt8};
+  for (const auto& c : cases) {
+    ShallowWaterModel model(small_config());
+    for (int k = 0; k < kSteps; ++k) (model.*c.step)();
+    sim::CompressedShallowWaterStepper stepper(
+        small_config(), settings, sim::LincombPath::kFused, c.scheme);
+    stepper.run(kSteps);
+    EXPECT_EQ(hash_state(model), c.model_hash) << c.name;
+    EXPECT_EQ(hash_tracks(stepper), c.tracks_hash) << c.name;
+  }
 }
 
 TEST(ShallowWater, StepCounterAdvances) {

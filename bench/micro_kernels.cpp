@@ -13,13 +13,15 @@
 /// elsewhere, e.g. when refreshing the committed BENCH_kernels.json
 /// baseline) and prints one line per entry plus every ratio the entries
 /// imply (fast over dense, fused over chained, expr over fused, scalar over
-/// SIMD, v3 over v2, thread scaling), warning on stderr when a claimed ratio
-/// falls outside its bound.  Compare two runs with tools/bench_compare.py;
-/// docs/PERF.md explains the schema.
+/// SIMD, v3 over v2, thread scaling) and the checksum pass's own rate,
+/// warning on stderr when a claimed ratio or rate falls outside its bound.
+/// Compare two runs with tools/bench_compare.py; docs/PERF.md explains the
+/// schema.
 
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -348,11 +350,13 @@ void bench_backends(Report& report) {
 
 /// Integrity-layer cost: serialize/deserialize through the unchecksummed v2
 /// container and the checksummed v3 default, on a 2-D and a 3-D workload.
-/// The CRC32 work is one table-driven pass over the chunk payloads inside
-/// the already-parallel chunk loops, so the expected time overhead is a few
-/// percent and the byte overhead is 4 B + 4 B per ~64 KiB chunk; main()
-/// prints the measured v3-over-v2 ratios and warns past 15% time.  Each
-/// entry records its stream size so the byte overhead stays measured too.
+/// v3's extra work is one table-driven CRC-32 pass over the chunk payloads
+/// inside the already-parallel chunk loops, and 4 B + 4 B per ~64 KiB chunk.
+/// The payload itself is plain little-endian word stores, so that pass is
+/// most of v3's time: main() prints the v3-over-v2 ratios, and
+/// print_checksum_rates() warns when the pass alone runs below its floor.
+/// Each entry records its stream size so the byte overhead stays measured
+/// too.
 void bench_checksums(Report& report) {
   struct ChecksumCase {
     Shape array_shape;
@@ -393,6 +397,39 @@ void bench_checksums(Report& report) {
     run_checksum("deserialize_container", "v3", v3.size(),
                  [&] { decoded = deserialize(v3); });
   }
+}
+
+/// The checksum pass on its own: v3 does v2's work plus one CRC-32 over its
+/// stream, so v3's stream bytes over (v3 - v2) time is the rate of that
+/// pass.  A table-driven CRC-32 runs at GB/s per core; a rate under
+/// kFloorMBps means the checksum, not the container copy, has become slow.
+void print_checksum_rates(const Report& report) {
+  constexpr double kFloorMBps = 700.0;
+  std::printf("\nchecksum pass rate (v3 bytes over v3 - v2 time):\n");
+  bool slow = false;
+  for (const bench::Entry& v2 : report.entries("checksums")) {
+    const bench::Field* impl = bench::field_of(v2, "impl");
+    if (!impl || bench::describe(*impl) != "v2") continue;
+    const bench::Field& name = *bench::field_of(v2, "name");
+    const bench::Field& shape = *bench::field_of(v2, "shape");
+    const bench::Entry* v3 =
+        report.find("checksums", {{"impl", "v3"}, name, shape});
+    if (!v3) continue;
+    const double extra = *bench::number(*v3, "seconds_per_call") -
+                         *bench::number(v2, "seconds_per_call");
+    // A pass too fast to separate from v2's timing noise reads as unbounded.
+    const double mbps =
+        extra > 0.0 ? *bench::number(*v3, "stream_bytes") / extra / 1e6
+                    : std::numeric_limits<double>::infinity();
+    std::printf("  %-40s %9.0f MB/s\n",
+                (bench::describe(name) + " " + bench::describe(shape)).c_str(),
+                mbps);
+    slow |= mbps < kFloorMBps;
+  }
+  if (slow)
+    std::fprintf(stderr, "warning: the v3 checksum pass measured under %.0f "
+                 "MB/s — rerun on a quiet machine before trusting this\n",
+                 kFloorMBps);
 }
 
 /// The paper's comparison-baseline codecs, kept in the harness so their
@@ -439,8 +476,8 @@ int main(int argc, char** argv) {
   bench_baseline_codecs(report);
 
   // Every ratio the JSON's raw rows imply, with the warn-only thresholds
-  // for the claims this binary measures: the expression front end is free,
-  // SIMD beats scalar, and the CRC pass rides inside the chunk loops.
+  // for the claims this binary measures: the expression front end is free
+  // and SIMD beats scalar.  The CRC pass gets its own rate floor below.
   bench::print_ratios(
       report,
       {{.title = "fast-over-dense speedups",
@@ -458,9 +495,7 @@ int main(int argc, char** argv) {
         .lo = 1.0,
         .warning = "a SIMD backend measured slower than the scalar kernels"},
        {.title = "checksummed container time (v3 over v2)",
-        .section = "checksums", .key = "impl", .num = "v3", .den = "v2",
-        .hi = 1.15,
-        .warning = "the v3 checksum pass measured >15% over the v2 container"},
+        .section = "checksums", .key = "impl", .num = "v3", .den = "v2"},
        {.title = "checksummed container bytes (v3 over v2)",
         .section = "checksums", .key = "impl", .num = "v3", .den = "v2",
         .field = "stream_bytes"},
@@ -468,6 +503,8 @@ int main(int argc, char** argv) {
         .section = "results", .key = "impl", .num = "t1", .den = "t2"},
        {.title = "thread scaling (t1 over t4)",
         .section = "results", .key = "impl", .num = "t1", .den = "t4"}});
+
+  print_checksum_rates(report);
 
   if (!report.write_json(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/dtypes/bfloat16.hpp"
 #include "core/dtypes/float16.hpp"
@@ -27,10 +28,10 @@ constexpr std::uint64_t kEndOfShapeMarker = ~std::uint64_t{0};
 constexpr std::uint8_t kChunkedMagicV2[4] = {'P', 'B', 'Z', '2'};
 constexpr std::uint8_t kChunkedMagicV3[4] = {'P', 'B', 'Z', '3'};
 
-/// Target payload size per chunk (bits).  Chunk boundaries are a pure
+/// Target payload size per chunk (bytes).  Chunk boundaries are a pure
 /// function of the array's geometry — never of the thread count — so the
 /// container bytes are identical no matter how many threads encoded it.
-constexpr std::size_t kTargetChunkBits = std::size_t{1} << 19;  // 64 KiB.
+constexpr std::size_t kTargetChunkBytes = std::size_t{1} << 16;  // 64 KiB.
 
 std::uint64_t encode_stored_float(double value, FloatType type) {
   switch (type) {
@@ -186,25 +187,26 @@ void allocate_decode_buffers(CompressedArray& array, index_t num_blocks) {
 }
 
 /// Fixed geometry of the chunked payload (v2 and v3): every block stores
-/// exactly f + kept * i bits, so the per-chunk byte offsets in the header are
-/// fully determined by (num_blocks, blocks_per_chunk).  The offsets are
-/// still written out — the container stays self-describing if a later
-/// version makes chunk payloads variable-rate.
+/// exactly one N word and kept F words, each a whole number of bytes, so the
+/// per-chunk byte offsets in the header are fully determined by
+/// (num_blocks, blocks_per_chunk).  The offsets are still written out — the
+/// container stays self-describing if a later version makes chunk payloads
+/// variable-rate.
 struct ChunkLayout {
   index_t num_blocks = 0;
   index_t blocks_per_chunk = 0;
   index_t num_chunks = 0;
-  std::size_t bits_per_block = 0;
+  std::size_t bytes_per_block = 0;
 
   static ChunkLayout plan(const CompressedArray& array) {
     ChunkLayout layout;
     layout.num_blocks = array.num_blocks();
-    layout.bits_per_block =
-        static_cast<std::size_t>(bits(array.float_type)) +
-        static_cast<std::size_t>(bits(array.index_type)) *
+    layout.bytes_per_block =
+        static_cast<std::size_t>(bits(array.float_type) / 8) +
+        static_cast<std::size_t>(bits(array.index_type) / 8) *
             static_cast<std::size_t>(array.kept_per_block());
     layout.blocks_per_chunk = std::clamp<index_t>(
-        static_cast<index_t>(kTargetChunkBits / layout.bits_per_block), 1,
+        static_cast<index_t>(kTargetChunkBytes / layout.bytes_per_block), 1,
         layout.num_blocks);
     layout.num_chunks = (layout.num_blocks + layout.blocks_per_chunk - 1) /
                         layout.blocks_per_chunk;
@@ -218,74 +220,83 @@ struct ChunkLayout {
     return std::min(num_blocks, (chunk + 1) * blocks_per_chunk);
   }
   std::size_t chunk_bytes(index_t chunk) const {
-    const auto blocks =
-        static_cast<std::size_t>(chunk_end(chunk) - chunk_begin(chunk));
-    return (blocks * bits_per_block + 7) / 8;
+    return static_cast<std::size_t>(chunk_end(chunk) - chunk_begin(chunk)) *
+           bytes_per_block;
   }
 };
 
-/// Encode blocks [begin, end) of N and F as one self-contained chunk stream.
+/// Store the low @p nbytes bytes of @p value at @p dst, little-endian — the
+/// bytes BitWriter's LSB-first packing gives a byte-aligned
+/// put_bits(value, 8 * nbytes).  Byte stores, not a reinterpret_cast, so the
+/// layout is the same on any host; with a constant width the compiler merges
+/// them into one store.
+inline void store_le(std::uint8_t* dst, std::uint64_t value, std::size_t nbytes) {
+  for (std::size_t b = 0; b < nbytes; ++b)
+    dst[b] = static_cast<std::uint8_t>(value >> (8 * b));
+}
+
+/// Inverse of store_le: the @p nbytes little-endian bytes at @p src.
+inline std::uint64_t load_le(const std::uint8_t* src, std::size_t nbytes) {
+  std::uint64_t value = 0;
+  for (std::size_t b = 0; b < nbytes; ++b)
+    value |= static_cast<std::uint64_t>(src[b]) << (8 * b);
+  return value;
+}
+
+/// Encode blocks [begin, end) of N and F into the chunk payload at @p dst:
+/// N as one float word per block, then F as sizeof(BinT)-byte words.
 template <typename BinT>
 void encode_chunk(const CompressedArray& array, const BinT* bins_data,
-                  index_t begin, index_t end, BitWriter& writer) {
-  const int fbits = bits(array.float_type);
-  const int ibits = bits(array.index_type);
+                  index_t begin, index_t end, std::uint8_t* dst) {
+  const auto fbytes = static_cast<std::size_t>(bits(array.float_type) / 8);
+  for (index_t kb = begin; kb < end; ++kb, dst += fbytes)
+    store_le(dst,
+             encode_stored_float(array.biggest[static_cast<std::size_t>(kb)],
+                                 array.float_type),
+             fbytes);
   const index_t kept = array.kept_per_block();
-  for (index_t kb = begin; kb < end; ++kb)
-    writer.put_bits(
-        encode_stored_float(array.biggest[static_cast<std::size_t>(kb)],
-                            array.float_type),
-        fbits);
-  for (index_t kb = begin; kb < end; ++kb) {
-    const BinT* bins = bins_data + kb * kept;
-    for (index_t slot = 0; slot < kept; ++slot)
-      writer.put_bits(static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(bins[slot])),
-                      ibits);
-  }
-  writer.align_to_byte();
+  const BinT* bins = bins_data + begin * kept;
+  const index_t count = (end - begin) * kept;
+  for (index_t k = 0; k < count; ++k, dst += sizeof(BinT))
+    store_le(dst, static_cast<std::make_unsigned_t<BinT>>(bins[k]),
+             sizeof(BinT));
 }
 
-/// Decode one chunk stream back into blocks [begin, end) of N and F.
+/// Decode the chunk payload at @p src back into blocks [begin, end) of N
+/// and F.  Narrow indices come back through the unsigned type of their
+/// width, so the conversion to BinT restores the sign.
 template <typename BinT>
 void decode_chunk(CompressedArray& array, BinT* bins_data, index_t begin,
-                  index_t end, BitReader& reader) {
-  const int fbits = bits(array.float_type);
-  const int ibits = bits(array.index_type);
-  const index_t kept = array.kept_per_block();
-  for (index_t kb = begin; kb < end; ++kb)
+                  index_t end, const std::uint8_t* src) {
+  const auto fbytes = static_cast<std::size_t>(bits(array.float_type) / 8);
+  for (index_t kb = begin; kb < end; ++kb, src += fbytes)
     array.biggest[static_cast<std::size_t>(kb)] =
-        decode_stored_float(reader.get_bits(fbits), array.float_type);
-  for (index_t kb = begin; kb < end; ++kb) {
-    BinT* bins = bins_data + kb * kept;
-    for (index_t slot = 0; slot < kept; ++slot)
-      bins[slot] =
-          static_cast<BinT>(sign_extend(reader.get_bits(ibits), ibits));
-  }
-}
-
-/// Store a 32-bit value into @p out at @p pos, little-endian — the same byte
-/// order BitWriter's LSB-first packing gives an aligned put_bits(value, 32).
-void store_le32(std::vector<std::uint8_t>& out, std::size_t pos,
-                std::uint32_t value) {
-  out[pos + 0] = static_cast<std::uint8_t>(value);
-  out[pos + 1] = static_cast<std::uint8_t>(value >> 8);
-  out[pos + 2] = static_cast<std::uint8_t>(value >> 16);
-  out[pos + 3] = static_cast<std::uint8_t>(value >> 24);
+        decode_stored_float(load_le(src, fbytes), array.float_type);
+  const index_t kept = array.kept_per_block();
+  BinT* bins = bins_data + begin * kept;
+  const index_t count = (end - begin) * kept;
+  for (index_t k = 0; k < count; ++k, src += sizeof(BinT))
+    bins[k] = static_cast<BinT>(static_cast<std::make_unsigned_t<BinT>>(
+        load_le(src, sizeof(BinT))));
 }
 
 /// Shared writer for the chunked containers.  v3 is v2 plus integrity: a
 /// CRC-32 of the whole header region and one CRC-32 per chunk payload,
 /// inserted between the chunk table and the payload.  The payload bytes
 /// themselves are byte-identical to v2's (pinned by
-/// tests/test_serialization.cpp), so the checksums are pure overhead —
-/// measured in the `checksums[]` bench section.
+/// tests/test_serialization.cpp).  The payload is plain little-endian word
+/// stores, so the CRC pass is most of v3's container time; the `checksums`
+/// bench section measures it against v2.
 std::vector<std::uint8_t> serialize_chunked(const CompressedArray& array,
                                             bool checksummed) {
   // Unflushed cached writes are a caller bug, not a data fault: logic_error
   // rather than cc::Error.
   array.require_flushed("serialize");
   const ChunkLayout layout = ChunkLayout::plan(array);
+  // The chunks are sized from index_type but written from the stored
+  // words, so the two must agree or a chunk would overrun its slot.
+  if (array.indices.type() != array.index_type)
+    throw std::logic_error("serialize: indices are not stored as index_type");
 
   // Header: magic, shared metadata, chunk table.  The per-chunk byte offsets
   // (relative to the payload start) let the decoder hand every chunk to a
@@ -328,17 +339,14 @@ std::vector<std::uint8_t> serialize_chunked(const CompressedArray& array,
     parallel::parallel_for(0, layout.num_chunks, 1, [&](index_t chunk_begin,
                                                         index_t chunk_end) {
       for (index_t chunk = chunk_begin; chunk < chunk_end; ++chunk) {
-        BitWriter chunk_writer;
+        std::uint8_t* chunk_data =
+            out.data() + payload_base + offsets[static_cast<std::size_t>(chunk)];
         encode_chunk(array, bins_data, layout.chunk_begin(chunk),
-                     layout.chunk_end(chunk), chunk_writer);
-        const std::vector<std::uint8_t>& chunk_bytes = chunk_writer.bytes();
-        std::memcpy(out.data() + payload_base +
-                        offsets[static_cast<std::size_t>(chunk)],
-                    chunk_bytes.data(), chunk_bytes.size());
+                     layout.chunk_end(chunk), chunk_data);
         if (checksummed)
-          store_le32(out,
-                     chunk_crc_base + 4 * static_cast<std::size_t>(chunk),
-                     crc32(chunk_bytes.data(), chunk_bytes.size()));
+          store_le(out.data() + chunk_crc_base +
+                       4 * static_cast<std::size_t>(chunk),
+                   crc32(chunk_data, layout.chunk_bytes(chunk)), 4);
       }
     });
   });
@@ -432,10 +440,8 @@ CompressedArray deserialize_chunked(const std::vector<std::uint8_t>& bytes,
           cc::raise(cc::ErrorCode::kCorruptArchive, "deserialize.v3.chunk",
                     "chunk payload checksum mismatch",
                     static_cast<std::uint64_t>(chunk_base));
-        BitReader chunk_reader(bytes.data() + chunk_base,
-                               layout.chunk_bytes(chunk));
         decode_chunk(array, bins_data, layout.chunk_begin(chunk),
-                     layout.chunk_end(chunk), chunk_reader);
+                     layout.chunk_end(chunk), bytes.data() + chunk_base);
       }
     });
   });

@@ -20,6 +20,15 @@ namespace pyblaz {
 ///   - 32 bits per chunk: CRC-32 of that chunk's payload bytes
 ///   - per chunk, byte-aligned: N then F for that chunk's blocks
 ///
+/// A chunk payload is all of its N, then all of its F, with no padding: N is
+/// one little-endian word of bits(float_type)/8 bytes per block, F is kept
+/// little-endian two's complement words of bits(index_type)/8 bytes per
+/// block, blocks in order in both runs.
+/// Every width is a whole number of bytes, so each chunk is already
+/// byte-aligned — the same bytes an LSB-first bit packing of those fields
+/// gives.  A variable-rate payload would have to change this layout (and
+/// the chunk table's fixed-rate check), so it needs a new version.
+///
 /// The payload bytes are byte-identical to what the v2 writer produces —
 /// v3 is v2 plus integrity.  CRC-32 detects every single-bit flip and every
 /// burst up to 32 bits, so the decoder rejects such corruption with

@@ -1,5 +1,7 @@
 #include "core/dtypes/index_type.hpp"
 
+#include <limits>
+
 namespace pyblaz {
 
 int bits(IndexType type) {
@@ -17,7 +19,8 @@ int bits(IndexType type) {
 }
 
 std::int64_t radius(IndexType type) {
-  return (std::int64_t{1} << (bits(type) - 1)) - 1;
+  // 2^(b-1) - 1, written so that b = 64 does not overflow.
+  return std::numeric_limits<std::int64_t>::max() >> (64 - bits(type));
 }
 
 std::int64_t arithmetic_radius(IndexType type) {

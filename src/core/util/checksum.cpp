@@ -10,9 +10,11 @@ namespace {
 /// (IEEE, reflected 0xEDB88320) table; table[k][b] extends it so eight
 /// input bytes fold into the running CRC with eight independent lookups per
 /// iteration instead of eight serial ones.  Same polynomial, bit-identical
-/// results to the byte loop — this is purely a throughput upgrade, because
-/// the per-chunk CRC pass rides inside the serializer's hot loop and must
-/// cost a few percent, not a third, of the container time.
+/// results to the byte loop — this is purely a throughput upgrade.  The v2/v3
+/// chunk payload is plain little-endian word stores, so this pass is most of
+/// the v3 container's time (v3 takes 2-3.5x v2's); bench_micro_kernels warns
+/// when its own rate, v3 bytes over (v3 - v2) time, drops under 700 MB/s,
+/// which a byte-at-a-time loop does (~300 MB/s on its 256x256 case).
 std::array<std::array<std::uint32_t, 256>, 8> build_crc32_tables() {
   std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t byte = 0; byte < 256; ++byte) {

@@ -27,15 +27,25 @@ void fwd_lift(std::int64_t* p, int s) {
   p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
-/// Exact inverse of fwd_lift.
+/// Exact inverse of fwd_lift.  A corrupt payload can decode to values whose
+/// sums overflow, so the lifting wraps in unsigned arithmetic instead of
+/// hitting signed-overflow UB; values that fit come out the same.
 void inv_lift(std::int64_t* p, int s) {
-  std::int64_t x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
-  y += w >> 1; w -= y >> 1;
+  using U = std::uint64_t;
+  const auto half = [](U v) {
+    return static_cast<U>(static_cast<std::int64_t>(v) >> 1);
+  };
+  U x = static_cast<U>(p[0 * s]), y = static_cast<U>(p[1 * s]),
+    z = static_cast<U>(p[2 * s]), w = static_cast<U>(p[3 * s]);
+  y += half(w); w -= half(y);
   y += w; w <<= 1; w -= y;
   z += x; x <<= 1; x -= z;
   y += z; z <<= 1; z -= y;
   w += x; x <<= 1; x -= w;
-  p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
+  p[0 * s] = static_cast<std::int64_t>(x);
+  p[1 * s] = static_cast<std::int64_t>(y);
+  p[2 * s] = static_cast<std::int64_t>(z);
+  p[3 * s] = static_cast<std::int64_t>(w);
 }
 
 /// Apply fwd_lift along every axis (axis 0 has the largest stride in our
@@ -99,7 +109,7 @@ void encode_ints(BitWriter& writer, int budget, const std::uint64_t* data,
     const int m = std::min(n, bits);
     bits -= m;
     writer.put_bits(x, m);
-    x >>= m;
+    x = m < 64 ? x >> m : 0;  // All 64 values significant: nothing left.
     // Group-tested remainder.
     while (n < size && bits) {
       --bits;

@@ -17,9 +17,8 @@
 ///     is a small fraction of the work and the ratio sits near 1.0x (the
 ///     batch then mostly saves per-call overhead, not decode work).
 ///   - noshare: 4 expressions with fully disjoint operand sets, where
-///     lincomb_batch detects nothing is shared and runs the single-output
-///     kernel per output, as sequential evaluation does; the ratio should
-///     sit near 1.0x.
+///     lincomb_batch stages no row and streams every operand, as
+///     sequential evaluation does; the ratio should sit near 1.0x.
 ///
 /// Every run first verifies the batch outputs bit-identical (indices and
 /// biggest both) to per-expression sequential evaluation and exits nonzero
@@ -91,8 +90,8 @@ Workload make_shared_workload(const Compressor& compressor,
 }
 
 /// K=4 arity-2 requests with fully disjoint operands (8 terms, 8 distinct):
-/// nothing to share, so lincomb_batch runs the single-output kernel per
-/// output; this row measures the batch's overhead honestly.
+/// nothing to share, so lincomb_batch stages no row and streams every
+/// operand; this row measures the batch's overhead honestly.
 Workload make_noshare_workload(const Compressor& compressor,
                                const Shape& shape) {
   Workload w;

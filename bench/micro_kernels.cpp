@@ -262,7 +262,7 @@ void bench_threaded_codec(Report& report) {
   parallel::set_num_threads(0);  // Restore the CC_THREADS / hardware default.
 }
 
-/// Per-backend kernel series: the tentpole kernels (decode_lincomb,
+/// Per-backend kernel series: the tentpole kernels (the lincomb kernel,
 /// rebin/unbin, the factorized Lee DCT) timed through each compiled-in
 /// backend's dispatch table.  Bit identity is enforced by the test suite;
 /// this series exists to keep the *speed* claim measured — main() prints the
@@ -303,6 +303,8 @@ void bench_backends(Report& report) {
   const std::int8_t* rows[4] = {bins.data(), bins.data() + kept,
                                 bins.data() + 2 * kept, bins.data() + 3 * kept};
   const double weights[4] = {1.0, -0.5, 0.25, 0.125};
+  const index_t term_rows[4] = {0, 1, 2, 3};
+  const index_t term_offsets[2] = {0, 4};
   std::vector<double> decoded(static_cast<std::size_t>(num_blocks * kept));
 
   // One 32-point DCT axis over a 16x32x32 volume — the leading-axis shape of
@@ -321,10 +323,15 @@ void bench_backends(Report& report) {
     const kernels::KernelTable& table = kernels::active();
     const std::string impl = kernels::backend_name(backend);
 
+    // The lincomb kernel as one 4-operand lincomb runs it: one output,
+    // nothing staged.
     run_backend("decode_lincomb4", impl, row_shape, row_elements, [&] {
-      for (index_t kb = 0; kb < num_blocks; ++kb)
-        kernels::bins<std::int8_t>(table).decode_lincomb(
-            rows, weights, 4, kept, decoded.data() + kb * kept);
+      for (index_t kb = 0; kb < num_blocks; ++kb) {
+        double* out = decoded.data() + kb * kept;
+        kernels::bins<std::int8_t>(table).decode_lincomb_multi(
+            rows, /*num_staged=*/0, weights, term_rows, term_offsets,
+            /*num_outputs=*/1, kept, /*decoded=*/nullptr, &out);
+      }
     });
     run_backend("rebin_block", impl, row_shape, row_elements, [&] {
       for (index_t kb = 0; kb < num_blocks; ++kb)

@@ -94,6 +94,9 @@ inline __m256d load4_pd(const std::int32_t* p) {
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
+/// A staged row of the lincomb kernel, already converted to double.
+inline __m256d load4_pd(const double* p) { return _mm256_loadu_pd(p); }
+
 /// Truncating double -> int stores.  cvttpd yields 0x80000000 for NaN and
 /// out-of-range values; taking the low bytes matches gcc's scalar cast chain
 /// (cvttsd2si + integer truncation) exactly.
@@ -119,7 +122,7 @@ inline void store4(std::int32_t* p, __m256d v) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm256_cvttpd_epi32(v));
 }
 
-// --- family 1: rebin / unbin ----------------------------------------------
+// --- family 1: rebin -------------------------------------------------------
 
 double max_abs_avx2(const double* c, index_t count) {
   __m256d acc = _mm256_setzero_pd();
@@ -151,181 +154,62 @@ void quantize_bins_avx2(const double* c, BinT* bins, index_t count, double inv,
     bins[j] = static_cast<BinT>(std::clamp(std::round(c[j] * inv), -r, r));
 }
 
-template <typename BinT>
-void unbin_block_avx2(const BinT* f, index_t count, double scale, double* c) {
-  const __m256d vs = _mm256_set1_pd(scale);
-  index_t j = 0;
-  for (; j + 4 <= count; j += 4)
-    _mm256_storeu_pd(c + j, _mm256_mul_pd(vs, load4_pd(f + j)));
-  for (; j < count; ++j) c[j] = scale * static_cast<double>(f[j]);
-}
+// --- family 1: unbin and the lincomb kernel's row primitives ---------------
 
-// --- family 1: fused lincomb decode ----------------------------------------
-
-template <typename BinT>
-void decode_axpby_avx2(const BinT* f1, double s1, const BinT* f2, double s2,
-                       index_t count, double* c) {
-  const __m256d vs1 = _mm256_set1_pd(s1);
-  const __m256d vs2 = _mm256_set1_pd(s2);
-  index_t j = 0;
-  for (; j + 4 <= count; j += 4)
-    _mm256_storeu_pd(c + j,
-                     _mm256_add_pd(_mm256_mul_pd(vs1, load4_pd(f1 + j)),
-                                   _mm256_mul_pd(vs2, load4_pd(f2 + j))));
-  for (; j < count; ++j)
-    c[j] = s1 * static_cast<double>(f1[j]) + s2 * static_cast<double>(f2[j]);
-}
-
-template <typename BinT>
-void decode_axpby_accumulate_avx2(const BinT* f1, double s1, const BinT* f2,
-                                  double s2, index_t count, double* c) {
-  const __m256d vs1 = _mm256_set1_pd(s1);
-  const __m256d vs2 = _mm256_set1_pd(s2);
-  index_t j = 0;
-  for (; j + 4 <= count; j += 4) {
-    // c[j] += a + b rounds (a + b) first, then the accumulate — keep that
-    // association.
-    const __m256d pair =
-        _mm256_add_pd(_mm256_mul_pd(vs1, load4_pd(f1 + j)),
-                      _mm256_mul_pd(vs2, load4_pd(f2 + j)));
-    _mm256_storeu_pd(c + j, _mm256_add_pd(_mm256_loadu_pd(c + j), pair));
-  }
-  for (; j < count; ++j)
-    c[j] += s1 * static_cast<double>(f1[j]) + s2 * static_cast<double>(f2[j]);
-}
-
-template <typename BinT>
-void decode_accumulate_avx2(const BinT* f, double s, index_t count,
-                            double* c) {
-  const __m256d vs = _mm256_set1_pd(s);
-  index_t j = 0;
-  for (; j + 4 <= count; j += 4)
-    _mm256_storeu_pd(
-        c + j, _mm256_add_pd(_mm256_loadu_pd(c + j),
-                             _mm256_mul_pd(vs, load4_pd(f + j))));
-  for (; j < count; ++j) c[j] += s * static_cast<double>(f[j]);
-}
-
-/// Same pairwise streaming as the scalar decode_lincomb: the per-element
-/// evaluation order (and therefore rounding) is identical; only the lane
-/// width differs.
-template <typename BinT>
-void decode_lincomb_avx2(const BinT* const* f, const double* s,
-                         index_t num_operands, index_t count, double* c) {
-  index_t i = 0;
-  if (num_operands >= 2) {
-    decode_axpby_avx2(f[0], s[0], f[1], s[1], count, c);
-    i = 2;
-  } else if (num_operands == 1) {
-    unbin_block_avx2(f[0], count, s[0], c);
-    i = 1;
-  } else {
-    std::fill(c, c + count, 0.0);
-  }
-  for (; i + 1 < num_operands; i += 2)
-    decode_axpby_accumulate_avx2(f[i], s[i], f[i + 1], s[i + 1], count, c);
-  if (i < num_operands) decode_accumulate_avx2(f[i], s[i], count, c);
-}
-
-/// c[j] = sa*a[j] + sb*b[j] over converted double rows — the first-pair pass
-/// of the multi-output decode, same per-element association as
-/// decode_axpby_avx2 (mul, mul, add; scale broadcasts hoisted).
-void axpby_rows_avx2(const double* a, double sa, const double* b, double sb,
-                     index_t count, double* c) {
-  const __m256d va = _mm256_set1_pd(sa);
-  const __m256d vb = _mm256_set1_pd(sb);
-  index_t j = 0;
-  for (; j + 4 <= count; j += 4)
-    _mm256_storeu_pd(
-        c + j, _mm256_add_pd(_mm256_mul_pd(va, _mm256_loadu_pd(a + j)),
-                             _mm256_mul_pd(vb, _mm256_loadu_pd(b + j))));
-  for (; j < count; ++j) c[j] = sa * a[j] + sb * b[j];
-}
-
-/// c[j] += sa*a[j] + sb*b[j]: the later-pair pass (pair rounds first, then
-/// accumulates — the decode_axpby_accumulate_avx2 association).
-void axpby_accumulate_rows_avx2(const double* a, double sa, const double* b,
-                                double sb, index_t count, double* c) {
-  const __m256d va = _mm256_set1_pd(sa);
-  const __m256d vb = _mm256_set1_pd(sb);
-  index_t j = 0;
-  for (; j + 4 <= count; j += 4)
-    _mm256_storeu_pd(
-        c + j,
-        _mm256_add_pd(_mm256_loadu_pd(c + j),
-                      _mm256_add_pd(_mm256_mul_pd(va, _mm256_loadu_pd(a + j)),
-                                    _mm256_mul_pd(vb, _mm256_loadu_pd(b + j)))));
-  for (; j < count; ++j) c[j] += sa * a[j] + sb * b[j];
-}
-
-/// c[j] = sa*a[j]: the single-term output (unbin_block association).
-void scale_row_avx2(const double* a, double sa, index_t count, double* c) {
-  const __m256d va = _mm256_set1_pd(sa);
-  index_t j = 0;
-  for (; j + 4 <= count; j += 4)
-    _mm256_storeu_pd(c + j, _mm256_mul_pd(va, _mm256_loadu_pd(a + j)));
-  for (; j < count; ++j) c[j] = sa * a[j];
-}
-
-/// c[j] += sa*a[j]: the odd-tail term (decode_accumulate association).
-void accumulate_row_avx2(const double* a, double sa, index_t count,
-                         double* c) {
-  const __m256d va = _mm256_set1_pd(sa);
-  index_t j = 0;
-  for (; j + 4 <= count; j += 4)
-    _mm256_storeu_pd(c + j,
-                     _mm256_add_pd(_mm256_loadu_pd(c + j),
-                                   _mm256_mul_pd(va, _mm256_loadu_pd(a + j))));
-  for (; j < count; ++j) c[j] += sa * a[j];
-}
-
-/// Multi-output batched decode: every distinct row is converted to double
-/// ONCE into the caller's decoded scratch (row d at decoded[d*count ..]),
-/// then each output's term list streams pairwise passes over those contiguous
-/// double rows — contiguous loads, hoisted scale broadcasts, no per-element
-/// indirection.  The per-element operation sequence on out[k][j] (first pair
-/// a*b + c*d, later pairs summed then accumulated, odd tail alone) matches
-/// decode_lincomb_avx2 exactly and int->double conversion is exact, so every
-/// output row is bit-identical to a separate decode_lincomb call.
-template <typename BinT>
-void decode_lincomb_multi_avx2(const BinT* const* rows, index_t num_rows,
-                               const double* scales, const index_t* term_rows,
-                               const index_t* offsets, index_t num_outputs,
-                               index_t count, double* decoded,
-                               double* const* out) {
-  for (index_t d = 0; d < num_rows; ++d) {
-    const BinT* src = rows[d];
-    double* dst = decoded + d * count;
+/// The AVX2 ScalarRows (rebin.hpp): the same four primitives with the same
+/// per-element association (mul, mul, add; a pair rounds before it
+/// accumulates), only run four lanes at a time.  Each row is a bin row or a
+/// staged double row; load4_pd converts either exactly.  unbin is also the
+/// table's unbin_block slot.
+struct Avx2Rows {
+  template <typename A, typename B>
+  static void axpby(const A* a, double sa, const B* b, double sb,
+                    index_t count, double* c) {
+    const __m256d va = _mm256_set1_pd(sa);
+    const __m256d vb = _mm256_set1_pd(sb);
     index_t j = 0;
     for (; j + 4 <= count; j += 4)
-      _mm256_storeu_pd(dst + j, load4_pd(src + j));
-    for (; j < count; ++j) dst[j] = static_cast<double>(src[j]);
+      _mm256_storeu_pd(c + j,
+                       _mm256_add_pd(_mm256_mul_pd(va, load4_pd(a + j)),
+                                     _mm256_mul_pd(vb, load4_pd(b + j))));
+    for (; j < count; ++j)
+      c[j] = sa * static_cast<double>(a[j]) + sb * static_cast<double>(b[j]);
   }
-  for (index_t k = 0; k < num_outputs; ++k) {
-    const index_t begin = offsets[k];
-    const index_t end = offsets[k + 1];
-    double* c = out[k];
-    index_t t = begin;
-    if (end - begin >= 2) {
-      axpby_rows_avx2(decoded + term_rows[begin] * count, scales[begin],
-                      decoded + term_rows[begin + 1] * count,
-                      scales[begin + 1], count, c);
-      t = begin + 2;
-    } else if (end - begin == 1) {
-      scale_row_avx2(decoded + term_rows[begin] * count, scales[begin], count,
-                     c);
-      t = begin + 1;
-    } else {
-      std::fill(c, c + count, 0.0);
+
+  template <typename A, typename B>
+  static void axpby_accumulate(const A* a, double sa, const B* b, double sb,
+                               index_t count, double* c) {
+    const __m256d va = _mm256_set1_pd(sa);
+    const __m256d vb = _mm256_set1_pd(sb);
+    index_t j = 0;
+    for (; j + 4 <= count; j += 4) {
+      const __m256d pair = _mm256_add_pd(_mm256_mul_pd(va, load4_pd(a + j)),
+                                         _mm256_mul_pd(vb, load4_pd(b + j)));
+      _mm256_storeu_pd(c + j, _mm256_add_pd(_mm256_loadu_pd(c + j), pair));
     }
-    for (; t + 1 < end; t += 2)
-      axpby_accumulate_rows_avx2(decoded + term_rows[t] * count, scales[t],
-                                 decoded + term_rows[t + 1] * count,
-                                 scales[t + 1], count, c);
-    if (t < end)
-      accumulate_row_avx2(decoded + term_rows[t] * count, scales[t], count, c);
+    for (; j < count; ++j)
+      c[j] += sa * static_cast<double>(a[j]) + sb * static_cast<double>(b[j]);
   }
-}
+
+  template <typename A>
+  static void unbin(const A* a, index_t count, double s, double* c) {
+    const __m256d vs = _mm256_set1_pd(s);
+    index_t j = 0;
+    for (; j + 4 <= count; j += 4)
+      _mm256_storeu_pd(c + j, _mm256_mul_pd(vs, load4_pd(a + j)));
+    for (; j < count; ++j) c[j] = s * static_cast<double>(a[j]);
+  }
+
+  template <typename A>
+  static void accumulate(const A* a, double s, index_t count, double* c) {
+    const __m256d vs = _mm256_set1_pd(s);
+    index_t j = 0;
+    for (; j + 4 <= count; j += 4)
+      _mm256_storeu_pd(c + j, _mm256_add_pd(_mm256_loadu_pd(c + j),
+                                            _mm256_mul_pd(vs, load4_pd(a + j))));
+    for (; j < count; ++j) c[j] += s * static_cast<double>(a[j]);
+  }
+};
 
 // --- family 3: dense one-axis transform ------------------------------------
 
@@ -612,34 +496,10 @@ void dct_axis_avx2(double* data, double* tmp, index_t n, index_t outer,
 
 // --- table ------------------------------------------------------------------
 
-/// int64 bins stay scalar (see file comment); address-taking wrappers over
-/// the inline templates.
-void quantize_bins_i64(const double* c, std::int64_t* bins, index_t count,
-                       double inv, double r) {
-  quantize_bins<std::int64_t>(c, bins, count, inv, r);
-}
-void unbin_block_i64(const std::int64_t* f, index_t count, double scale,
-                     double* c) {
-  unbin_block<std::int64_t>(f, count, scale, c);
-}
-void decode_lincomb_i64(const std::int64_t* const* f, const double* s,
-                        index_t num_operands, index_t count, double* c) {
-  decode_lincomb<std::int64_t>(f, s, num_operands, count, c);
-}
-void decode_lincomb_multi_i64(const std::int64_t* const* rows,
-                              index_t num_rows, const double* scales,
-                              const index_t* term_rows, const index_t* offsets,
-                              index_t num_outputs, index_t count,
-                              double* decoded, double* const* out) {
-  decode_lincomb_multi<std::int64_t>(rows, num_rows, scales, term_rows,
-                                     offsets, num_outputs, count, decoded,
-                                     out);
-}
-
 template <typename BinT>
 constexpr BinKernels<BinT> avx2_bin_kernels() {
-  return {&quantize_bins_avx2<BinT>, &unbin_block_avx2<BinT>,
-          &decode_lincomb_avx2<BinT>, &decode_lincomb_multi_avx2<BinT>};
+  return {&quantize_bins_avx2<BinT>, &Avx2Rows::unbin<BinT>,
+          &decode_lincomb_multi<BinT, Avx2Rows>};
 }
 
 }  // namespace
@@ -653,11 +513,9 @@ const KernelTable* avx2_table() {
       avx2_bin_kernels<std::int8_t>(),
       avx2_bin_kernels<std::int16_t>(),
       avx2_bin_kernels<std::int32_t>(),
-      {&quantize_bins_i64, &unbin_block_i64, &decode_lincomb_i64,
-       &decode_lincomb_multi_i64},
+      scalar_table().i64,  // See the file comment.
       &dense_transform_axis_avx2,
       &dct_axis_avx2,
-      &huffman_decode_run_generic,
   };
   return &table;
 }

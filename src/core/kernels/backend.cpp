@@ -15,38 +15,10 @@ namespace pyblaz::kernels {
 
 namespace {
 
-/// Address-taking wrappers over the inline scalar templates in rebin.hpp.
-template <typename BinT>
-void quantize_bins_entry(const double* c, BinT* bins, index_t count,
-                         double inv, double r) {
-  quantize_bins<BinT>(c, bins, count, inv, r);
-}
-
-template <typename BinT>
-void unbin_block_entry(const BinT* f, index_t count, double scale, double* c) {
-  unbin_block<BinT>(f, count, scale, c);
-}
-
-template <typename BinT>
-void decode_lincomb_entry(const BinT* const* f, const double* s,
-                          index_t num_operands, index_t count, double* c) {
-  decode_lincomb<BinT>(f, s, num_operands, count, c);
-}
-
-template <typename BinT>
-void decode_lincomb_multi_entry(const BinT* const* rows, index_t num_rows,
-                                const double* scales, const index_t* term_rows,
-                                const index_t* offsets, index_t num_outputs,
-                                index_t count, double* decoded,
-                                double* const* out) {
-  decode_lincomb_multi<BinT>(rows, num_rows, scales, term_rows, offsets,
-                             num_outputs, count, decoded, out);
-}
-
 template <typename BinT>
 constexpr BinKernels<BinT> scalar_bin_kernels() {
-  return {&quantize_bins_entry<BinT>, &unbin_block_entry<BinT>,
-          &decode_lincomb_entry<BinT>, &decode_lincomb_multi_entry<BinT>};
+  return {&quantize_bins<BinT>, &unbin_block<BinT>,
+          &decode_lincomb_multi<BinT>};
 }
 
 bool cpu_supports(Backend backend) {
@@ -160,41 +132,8 @@ const KernelTable& scalar_table() {
       scalar_bin_kernels<std::int64_t>(),
       &dense_transform_axis,
       &dct_fast_axis,
-      &huffman_decode_run_generic,
   };
   return table;
-}
-
-index_t huffman_decode_run_generic(const HuffmanLut2Entry* lut,
-                                   BitReader& reader, std::int32_t* out,
-                                   index_t count, std::int32_t stop_symbol) {
-  index_t decoded = 0;
-  while (decoded < count) {
-    const std::size_t start = reader.position();
-    const auto window =
-        static_cast<std::size_t>(reader.get_bits(kHuffmanLutBits));
-    const HuffmanLut2Entry& entry = lut[window];
-    if (entry.nsyms == 0) {
-      // First code longer than the LUT window: rewind so the caller can run
-      // the bit-serial decoder for exactly one symbol and resume.
-      reader.seek(start);
-      break;
-    }
-    out[decoded++] = entry.sym0;
-    if (entry.sym0 == stop_symbol) {
-      reader.seek(start + entry.len0);
-      break;
-    }
-    if (entry.nsyms == 2 && decoded < count && entry.sym1 != stop_symbol) {
-      out[decoded++] = entry.sym1;
-      reader.seek(start + entry.total_bits);
-    } else {
-      // A stop symbol in the second slot is left in the stream so the next
-      // probe emits it as sym0 and the stop bookkeeping stays in one place.
-      reader.seek(start + entry.len0);
-    }
-  }
-  return decoded;
 }
 
 }  // namespace internal

@@ -4,7 +4,6 @@
 
 #include "core/dtypes/float_type.hpp"
 #include "core/ndarray/shape.hpp"
-#include "core/util/bitstream.hpp"
 
 namespace pyblaz::kernels {
 
@@ -24,22 +23,6 @@ namespace pyblaz::kernels {
 
 enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
-/// One entry of the 2-symbol Huffman decode LUT (see szx/huffman.hpp):
-/// indexed by the next 8 stream bits, it resolves up to two complete codes
-/// per probe.  nsyms == 0 means the first code is longer than 8 bits and the
-/// caller must fall back to the bit-serial decoder for one symbol.
-struct HuffmanLut2Entry {
-  std::int32_t sym0 = -1;
-  std::int32_t sym1 = -1;
-  std::uint8_t len0 = 0;        ///< Bits of the first code (0 when nsyms == 0).
-  std::uint8_t total_bits = 0;  ///< len0 + len1 when nsyms == 2.
-  std::uint8_t nsyms = 0;
-};
-
-/// The LUT above is indexed by this many stream bits.  huffman.cpp
-/// static_asserts its serial fast-path table uses the same width.
-inline constexpr int kHuffmanLutBits = 8;
-
 /// Per-bin-index-type kernel slots.  Signatures mirror the scalar templates
 /// in rebin.hpp exactly; see there for semantics.
 template <typename BinT>
@@ -47,12 +30,11 @@ struct BinKernels {
   void (*quantize_bins)(const double* c, BinT* bins, index_t count, double inv,
                         double r);
   void (*unbin_block)(const BinT* f, index_t count, double scale, double* c);
-  void (*decode_lincomb)(const BinT* const* f, const double* s,
-                         index_t num_operands, index_t count, double* c);
-  /// Multi-output batched decode (see rebin.hpp decode_lincomb_multi): K
-  /// flattened linear combinations over num_rows shared bin rows; decoded is
-  /// caller scratch of at least num_rows * count doubles.
-  void (*decode_lincomb_multi)(const BinT* const* rows, index_t num_rows,
+  /// The lincomb kernel (see rebin.hpp decode_lincomb_multi): K flattened
+  /// linear combinations over one block's bin rows; rows [0, num_staged)
+  /// feed more than one term and are staged in decoded, caller scratch of at
+  /// least num_staged * count doubles; every other row streams from its bins.
+  void (*decode_lincomb_multi)(const BinT* const* rows, index_t num_staged,
                                const double* scales, const index_t* term_rows,
                                const index_t* offsets, index_t num_outputs,
                                index_t count, double* decoded,
@@ -86,11 +68,6 @@ struct KernelTable {
   /// @p n must satisfy fast_axis_supported(kDct, n).
   void (*dct_axis)(double* data, double* tmp, index_t n, index_t outer,
                    index_t inner, bool forward);
-
-  /// Batched 2-symbol Huffman decode; see HuffmanCoder::decode_run.
-  index_t (*huffman_decode_run)(const HuffmanLut2Entry* lut, BitReader& reader,
-                                std::int32_t* out, index_t count,
-                                std::int32_t stop_symbol);
 };
 
 /// Typed accessor so generic (BinT-templated) call sites can pick their slot

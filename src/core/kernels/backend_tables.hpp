@@ -15,10 +15,4 @@ const KernelTable& scalar_table();
 /// nullptr when the binary was not built with AVX2 support for this TU.
 const KernelTable* avx2_table();
 
-/// The shared (scalar) 2-symbol LUT walker; every backend table points its
-/// huffman_decode_run slot here until an ISA ships a vectorized override.
-index_t huffman_decode_run_generic(const HuffmanLut2Entry* lut,
-                                   BitReader& reader, std::int32_t* out,
-                                   index_t count, std::int32_t stop_symbol);
-
 }  // namespace pyblaz::kernels::internal

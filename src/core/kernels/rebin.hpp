@@ -95,9 +95,9 @@ inline void decode_axpby(const Bin1T* __restrict f1, double s1,
 
 /// Accumulating variant of decode_axpby: c[j] += s1 f1[j] + s2 f2[j].  Lets
 /// decode_lincomb sweep the coefficient row once per *pair* of operands.
-template <typename BinT>
-inline void decode_axpby_accumulate(const BinT* __restrict f1, double s1,
-                                    const BinT* __restrict f2, double s2,
+template <typename Bin1T, typename Bin2T>
+inline void decode_axpby_accumulate(const Bin1T* __restrict f1, double s1,
+                                    const Bin2T* __restrict f2, double s2,
                                     index_t count, double* __restrict c) {
 #pragma omp simd
   for (index_t j = 0; j < count; ++j)
@@ -114,12 +114,13 @@ inline void decode_accumulate(const BinT* __restrict f, double s, index_t count,
 }
 
 /// Fused n-ary decode of one block's linear combination,
-/// c[j] = Σ_i s[i] f[i][j]: the core of ops::lincomb.  All operands share one
-/// bin type (binary compressed ops require matching index types).  Operands
-/// stream pairwise so the coefficient row — which stays cache-resident — is
-/// swept ceil(n/2) times instead of n.  For n = 2 this is exactly
-/// decode_axpby, so the binary ops rewired through lincomb quantize
-/// bit-identically to their previous dedicated loops.
+/// c[j] = Σ_i s[i] f[i][j]: the single-output reference that every
+/// decode_lincomb_multi output must match bit for bit (the tests' oracle).
+/// All operands share one bin type (binary compressed ops require matching
+/// index types).  Operands stream pairwise so the coefficient row — which
+/// stays cache-resident — is swept ceil(n/2) times instead of n.  For n = 2
+/// this is exactly decode_axpby, so the binary ops rewired through lincomb
+/// quantize bit-identically to their previous dedicated loops.
 template <typename BinT>
 inline void decode_lincomb(const BinT* const* __restrict f,
                            const double* __restrict s, index_t num_operands,
@@ -139,80 +140,93 @@ inline void decode_lincomb(const BinT* const* __restrict f,
   if (i < num_operands) decode_accumulate(f[i], s[i], count, c);
 }
 
-/// Multi-output fused decode: evaluate K linear combinations over one shared
-/// set of distinct bin rows, converting each distinct row's element to double
-/// ONCE per element instead of once per (expression, element).  This is the
-/// per-block engine of ops::lincomb_batch: when K expressions share operands,
-/// the int->double conversions and bin-row loads fall from Σ_k arity_k to
-/// num_rows per element.
+/// The scalar row primitives of decode_lincomb_multi's pairwise fold.  Each
+/// takes either row type: a bin row streamed straight from storage or a
+/// staged double row (int -> double is exact, so both give the same bits).
+/// A SIMD backend supplies its own struct with the same four members.
+struct ScalarRows {
+  template <typename A, typename B>
+  static void axpby(const A* a, double sa, const B* b, double sb,
+                    index_t count, double* c) {
+    decode_axpby(a, sa, b, sb, count, c);
+  }
+  template <typename A, typename B>
+  static void axpby_accumulate(const A* a, double sa, const B* b, double sb,
+                               index_t count, double* c) {
+    decode_axpby_accumulate(a, sa, b, sb, count, c);
+  }
+  template <typename A>
+  static void unbin(const A* a, index_t count, double s, double* c) {
+    unbin_block(a, count, s, c);
+  }
+  template <typename A>
+  static void accumulate(const A* a, double s, index_t count, double* c) {
+    decode_accumulate(a, s, count, c);
+  }
+};
+
+/// The lincomb kernel: evaluate K linear combinations of one block's bin
+/// rows, the per-block engine of ops::lincomb and ops::lincomb_batch.
 ///
 /// Terms are flattened: output k owns terms [offsets[k], offsets[k+1]); term
-/// t reads rows[term_rows[t]] with scale scales[t].  @p decoded is caller
-/// scratch of at least num_rows * count doubles: every backend converts each
-/// distinct row into decoded[d*count ..] once, then streams each output's
-/// pairwise passes over those contiguous double rows.
+/// t reads rows[term_rows[t]] with scale scales[t].  Rows [0, num_staged) are
+/// the ones that feed more than one term: each is converted to double once,
+/// into decoded[d*count ..] (caller scratch of num_staged * count doubles),
+/// and every term on it reads the staged row.  Every other term streams its
+/// bin row directly, so with nothing staged this is decode_lincomb's loop.
+/// The staged-or-streamed choice is made per term, once per block.
 ///
 /// Bit-identity contract: out[k][j] is computed with exactly the per-element
 /// association of decode_lincomb — first pair via a*b + c*d, subsequent pairs
 /// summed then accumulated, odd tail accumulated alone, single-term outputs
 /// as one multiply — and int->double conversion is exact for every bin value
 /// (|bin| <= 2^53), so each output row is bit-identical to a separate
-/// decode_lincomb call with the same (row, scale) list.
-template <typename BinT>
-inline void decode_lincomb_multi(const BinT* const* __restrict rows,
-                                 index_t num_rows,
-                                 const double* __restrict scales,
-                                 const index_t* __restrict term_rows,
-                                 const index_t* __restrict offsets,
-                                 index_t num_outputs, index_t count,
-                                 double* __restrict decoded,
-                                 double* const* __restrict out) {
-  // Convert every distinct row ONCE (exact: int -> double), then run each
-  // output's pairwise passes over the converted doubles.  Per element the
-  // operation sequence on out[k][j] is identical to decode_lincomb's
-  // per-element order, so hoisting the conversion changes no bit.
-  for (index_t d = 0; d < num_rows; ++d) {
-    double* __restrict dst = decoded + d * count;
-    const BinT* __restrict src = rows[d];
-#pragma omp simd
-    for (index_t j = 0; j < count; ++j) dst[j] = static_cast<double>(src[j]);
-  }
+/// decode_lincomb call with the same (row, scale) list.  @p Rows supplies the
+/// row primitives (ScalarRows here, the ISA's own in a SIMD backend).
+template <typename BinT, typename Rows = ScalarRows>
+inline void decode_lincomb_multi(const BinT* const* rows, index_t num_staged,
+                                 const double* scales, const index_t* term_rows,
+                                 const index_t* offsets, index_t num_outputs,
+                                 index_t count, double* decoded,
+                                 double* const* out) {
+  // 1.0 * x == x exactly, so staging is the single-term primitive.
+  for (index_t d = 0; d < num_staged; ++d)
+    Rows::unbin(rows[d], count, 1.0, decoded + d * count);
+  // Hand @p f term t's row: the staged double row or the bin row itself.
+  const auto with_row = [&](index_t t, auto&& f) {
+    const index_t row = term_rows[t];
+    if (row < num_staged) {
+      f(static_cast<const double*>(decoded + row * count));
+    } else {
+      f(rows[row]);
+    }
+  };
   for (index_t k = 0; k < num_outputs; ++k) {
-    const index_t begin = offsets[k];
     const index_t end = offsets[k + 1];
-    double* __restrict c = out[k];
-    index_t t = begin;
-    if (end - begin >= 2) {
-      const double* __restrict a = decoded + term_rows[begin] * count;
-      const double* __restrict b = decoded + term_rows[begin + 1] * count;
-      const double sa = scales[begin];
-      const double sb = scales[begin + 1];
-#pragma omp simd
-      for (index_t j = 0; j < count; ++j) c[j] = sa * a[j] + sb * b[j];
-      t = begin + 2;
-    } else if (end - begin == 1) {
-      const double* __restrict a = decoded + term_rows[begin] * count;
-      const double sa = scales[begin];
-#pragma omp simd
-      for (index_t j = 0; j < count; ++j) c[j] = sa * a[j];
-      t = begin + 1;
+    double* c = out[k];
+    index_t t = offsets[k];
+    if (end - t >= 2) {
+      with_row(t, [&](const auto* a) {
+        with_row(t + 1, [&](const auto* b) {
+          Rows::axpby(a, scales[t], b, scales[t + 1], count, c);
+        });
+      });
+      t += 2;
+    } else if (end - t == 1) {
+      with_row(t, [&](const auto* a) { Rows::unbin(a, count, scales[t], c); });
+      t += 1;
     } else {
       std::fill(c, c + count, 0.0);
     }
-    for (; t + 1 < end; t += 2) {
-      const double* __restrict a = decoded + term_rows[t] * count;
-      const double* __restrict b = decoded + term_rows[t + 1] * count;
-      const double sa = scales[t];
-      const double sb = scales[t + 1];
-#pragma omp simd
-      for (index_t j = 0; j < count; ++j) c[j] += sa * a[j] + sb * b[j];
-    }
-    if (t < end) {
-      const double* __restrict a = decoded + term_rows[t] * count;
-      const double sa = scales[t];
-#pragma omp simd
-      for (index_t j = 0; j < count; ++j) c[j] += sa * a[j];
-    }
+    for (; t + 1 < end; t += 2)
+      with_row(t, [&](const auto* a) {
+        with_row(t + 1, [&](const auto* b) {
+          Rows::axpby_accumulate(a, scales[t], b, scales[t + 1], count, c);
+        });
+      });
+    if (t < end)
+      with_row(t,
+               [&](const auto* a) { Rows::accumulate(a, scales[t], count, c); });
   }
 }
 

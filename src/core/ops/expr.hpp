@@ -206,10 +206,10 @@ constexpr auto operator-(double s, const A& a) {
 /// block, each *distinct* operand (deduplicated by pointer — expressions
 /// share a decode only when they reference the same CompressedArray object)
 /// is decoded once and fanned into every collected expression through the
-/// multi-output kernel, each output finishing with its own terminal rebin.
+/// lincomb kernel, each output finishing with its own terminal rebin.
 /// Results are bit-identical to eval()ing each expression alone, in add()
-/// order; a batch whose expressions share nothing runs the single-output
-/// kernel per expression, as eval() does.
+/// order; a batch whose expressions share nothing stages no row and streams
+/// every operand, as eval() does.
 ///
 ///     BatchEval batch;
 ///     batch.add(h - dt * (fx + fy));

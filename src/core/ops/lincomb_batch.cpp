@@ -81,6 +81,24 @@ LincombPlan plan_lincombs(std::span<const LincombRequest> requests,
     plan.offsets.push_back(static_cast<index_t>(plan.term_rows.size()));
     plan.bias_shifts.push_back(req.bias * dc_scale(first.block_shape));
   }
+  // Stage-first row order: operands that feed more than one term move to the
+  // front, each group keeping first-use order, and term_rows follow them.
+  std::vector<index_t> uses(plan.distinct.size(), 0);
+  for (index_t row : plan.term_rows) ++uses[static_cast<std::size_t>(row)];
+  std::vector<index_t> position(uses.size());
+  std::vector<const CompressedArray*> ordered;
+  ordered.reserve(uses.size());
+  for (const bool staged : {true, false}) {
+    for (std::size_t d = 0; d < uses.size(); ++d) {
+      if ((uses[d] > 1) != staged) continue;
+      position[d] = static_cast<index_t>(ordered.size());
+      ordered.push_back(plan.distinct[d]);
+    }
+    if (staged) plan.num_staged = static_cast<index_t>(ordered.size());
+  }
+  plan.distinct = std::move(ordered);
+  for (index_t& row : plan.term_rows)
+    row = position[static_cast<std::size_t>(row)];
   return plan;
 }
 
@@ -92,12 +110,7 @@ std::vector<CompressedArray> evaluate_lincombs(const LincombPlan& plan) {
   const std::size_t num_terms = plan.term_rows.size();
   const std::size_t num_rows = plan.distinct.size();
   const double r = static_cast<double>(first.radius());
-  // Kernel choice: when some operand feeds more than one term, the
-  // multi-output kernel converts its bin row once per block for all of
-  // them.  Otherwise there is nothing to share and the single-output kernel,
-  // which streams bins straight into the coefficient row, is faster (see
-  // docs/PERF.md); every term then owns its own row, so term t reads row t.
-  const bool shared = num_terms > num_rows;
+  const auto num_staged = static_cast<std::size_t>(plan.num_staged);
 
   std::vector<CompressedArray> results;
   results.reserve(num_outputs);
@@ -139,24 +152,22 @@ std::vector<CompressedArray> evaluate_lincombs(const LincombPlan& plan) {
     parallel::parallel_for(
         0, num_blocks, parallel::default_grain(num_blocks),
         [&](index_t begin, index_t end) {
-          // Lane 0: the coefficient rows — one per output when the
-          // multi-kernel fills them all at once, else one row reused by
-          // every output.  Lane 1: the multi-kernel's shared decode scratch,
-          // one converted double row per distinct operand.  Both come from
-          // the per-thread workspace and are reused across blocks and chunks.
-          const std::size_t coeff_rows = shared ? num_outputs : 1;
+          // Lane 0: one coefficient row per output.  Lane 1: the kernel's
+          // staged rows, one converted double row per operand that feeds more
+          // than one term.  Both come from the per-thread workspace and are
+          // reused across blocks and chunks.
           double* coeffs = pyblaz::internal::coefficient_workspace(
-              coeff_rows * static_cast<std::size_t>(kept));
+              num_outputs * static_cast<std::size_t>(kept));
           double* decoded =
-              shared ? pyblaz::internal::coefficient_workspace(
-                           num_rows * static_cast<std::size_t>(kept), 1)
-                     : nullptr;
+              num_staged > 0
+                  ? pyblaz::internal::coefficient_workspace(
+                        num_staged * static_cast<std::size_t>(kept), 1)
+                  : nullptr;
           std::vector<const BinT*> rows(num_rows);
           std::vector<double> scales(num_terms);
-          std::vector<double*> out_rows(num_outputs, coeffs);
-          if (shared)
-            for (std::size_t k = 0; k < num_outputs; ++k)
-              out_rows[k] = coeffs + k * static_cast<std::size_t>(kept);
+          std::vector<double*> out_rows(num_outputs);
+          for (std::size_t k = 0; k < num_outputs; ++k)
+            out_rows[k] = coeffs + k * static_cast<std::size_t>(kept);
           for (index_t kb = begin; kb < end; ++kb) {
             for (std::size_t d = 0; d < num_rows; ++d)
               rows[d] = bases[d] + kb * kept;
@@ -169,19 +180,13 @@ std::vector<CompressedArray> evaluate_lincombs(const LincombPlan& plan) {
                           term_biggest[t][static_cast<std::size_t>(kb)];
             for (std::size_t t = 0; t < num_terms; ++t)
               scales[t] = scales[t] / r;
-            if (shared)
-              kern.decode_lincomb_multi(
-                  rows.data(), static_cast<index_t>(num_rows), scales.data(),
-                  plan.term_rows.data(), plan.offsets.data(),
-                  static_cast<index_t>(num_outputs), kept, decoded,
-                  out_rows.data());
+            kern.decode_lincomb_multi(rows.data(), plan.num_staged,
+                                      scales.data(), plan.term_rows.data(),
+                                      plan.offsets.data(),
+                                      static_cast<index_t>(num_outputs), kept,
+                                      decoded, out_rows.data());
             for (std::size_t k = 0; k < num_outputs; ++k) {
               double* c = out_rows[k];
-              if (!shared) {
-                const index_t t0 = plan.offsets[k];
-                kern.decode_lincomb(rows.data() + t0, scales.data() + t0,
-                                    plan.offsets[k + 1] - t0, kept, c);
-              }
               if (plan.bias_shifts[k] != 0.0) c[0] += plan.bias_shifts[k];
               results[k].biggest[static_cast<std::size_t>(kb)] =
                   kernels::rebin_block(table, c, kept, r, first.float_type,

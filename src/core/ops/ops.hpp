@@ -196,7 +196,7 @@ struct LincombRequest {
 
 /// Batched multi-expression evaluation: evaluate every request in ONE blocked
 /// pass, decoding each *distinct* operand's coefficient row once per block
-/// and fanning it into all K output rows through the multi-output kernel
+/// and fanning it into all K output rows through the lincomb kernel
 /// (kernels::decode_lincomb_multi), then finishing each output with its own
 /// terminal rebin.  Per block, int->double bin decodes fall from Σ_k arity_k
 /// to the number of distinct operands — the request-batching amortization the
@@ -207,8 +207,8 @@ struct LincombRequest {
 /// results[k] corresponds to requests[k].  ops::lincomb is itself the
 /// one-request case of this pass.  Operands are deduplicated by pointer —
 /// two terms share a decode only when they reference the same
-/// CompressedArray object; when no operand is shared, each output runs the
-/// single-output kernel instead (same bits, no amortization).  Every
+/// CompressedArray object; an operand that feeds one term streams from its
+/// bins instead (same bits, no amortization).  Every
 /// request's operands must share the layout of the first request's first
 /// operand; a request with a nonzero bias requires the DC coefficient, like
 /// lincomb.  Rebin accounting: a K-request batch performs exactly K terminal

@@ -31,10 +31,12 @@ std::vector<double> blockwise_mean_vector(const CompressedArray& a);
 /// Validated, deduplicated view of a set of lincomb requests: the distinct
 /// operand set plus every request's term list flattened into (row index,
 /// weight) arrays with prefix offsets — the layout
-/// kernels::decode_lincomb_multi consumes.  distinct[0] is the first
-/// request's first operand, whose layout every operand matches.
+/// kernels::decode_lincomb_multi consumes.  Operands that feed more than one
+/// term come first, distinct[0, num_staged): the kernel stages exactly those
+/// rows.  Every operand has the same layout.
 struct LincombPlan {
   std::vector<const CompressedArray*> distinct;
+  index_t num_staged = 0;            ///< Leading distinct[] fed >1 term.
   std::vector<index_t> term_rows;    ///< distinct[] index per term.
   std::vector<double> term_weights;  ///< weight per term.
   std::vector<index_t> offsets;      ///< requests.size() + 1 prefix offsets.

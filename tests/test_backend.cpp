@@ -2,8 +2,9 @@
 /// startup cpuid/CC_KERNEL_BACKEND resolution, the set_backend override, and
 /// — the load-bearing property — that EVERY compiled-in backend reproduces
 /// the scalar kernels bit for bit across the full property matrix: rebin
-/// (max_abs / quantize_bins / unbin) for all four bin types, decode_lincomb
-/// at 1..7 operands, decode_lincomb_multi against per-output decode_lincomb,
+/// (max_abs / quantize_bins / unbin) for all four bin types, the lincomb
+/// kernel decode_lincomb_multi against per-output scalar decode_lincomb (one
+/// streamed output at 1..7 operands, then staged and streamed rows mixed),
 /// the dense one-axis transform, and the factorized Lee
 /// DCT at every supported size.  The scalar kernels are the oracle; the
 /// parameterized suite runs once per available backend, so on an AVX2 host
@@ -150,10 +151,9 @@ TEST(BackendDispatch, EverySlotOfEveryTableIsPopulated) {
     EXPECT_NE(table->max_abs, nullptr);
     EXPECT_NE(table->dense_transform_axis, nullptr);
     EXPECT_NE(table->dct_axis, nullptr);
-    EXPECT_NE(table->huffman_decode_run, nullptr);
     EXPECT_NE(table->i8.quantize_bins, nullptr);
     EXPECT_NE(table->i16.unbin_block, nullptr);
-    EXPECT_NE(table->i32.decode_lincomb, nullptr);
+    EXPECT_NE(table->i32.decode_lincomb_multi, nullptr);
     EXPECT_NE(table->i64.quantize_bins, nullptr);
   }
 }
@@ -322,10 +322,18 @@ void check_decode_lincomb(const KernelTable& t) {
         row_ptrs.push_back(row.data());
         scales.push_back(weight(rng));
       }
+      // One output over every row, nothing staged: the lincomb kernel as
+      // a single lincomb with no repeated operand runs it.
+      std::vector<index_t> term_rows(static_cast<std::size_t>(operands));
+      for (index_t i = 0; i < operands; ++i)
+        term_rows[static_cast<std::size_t>(i)] = i;
+      const index_t offsets[2] = {0, operands};
       std::vector<double> out_simd(static_cast<std::size_t>(count));
       std::vector<double> out_ref(static_cast<std::size_t>(count));
-      kernels::bins<BinT>(t).decode_lincomb(row_ptrs.data(), scales.data(),
-                                            operands, count, out_simd.data());
+      double* out_row = out_simd.data();
+      kernels::bins<BinT>(t).decode_lincomb_multi(
+          row_ptrs.data(), /*num_staged=*/0, scales.data(), term_rows.data(),
+          offsets, /*num_outputs=*/1, count, /*decoded=*/nullptr, &out_row);
       kernels::decode_lincomb(row_ptrs.data(), scales.data(), operands, count,
                               out_ref.data());
       for (index_t j = 0; j < count; ++j)
@@ -348,16 +356,22 @@ TEST_P(BackendBitIdentity, DecodeLincombInt64) {
   check_decode_lincomb<std::int64_t>(table());
 }
 
-/// The multi-output kernel against the single-output scalar oracle: each
-/// output row must equal a separate decode_lincomb over the same (row,
-/// scale) list — the contract that lets the lincomb engine pick either
-/// kernel per call.  Term lists repeat rows, within and across outputs.
+/// The lincomb kernel at K > 1 against the single-output scalar oracle:
+/// each output row must equal a separate decode_lincomb over the same (row,
+/// scale) list — the contract that lets the engine stage any row or stream
+/// it.  Term lists repeat rows within and across outputs, and each runs with
+/// no row, rows 0..3, and every row staged, so staged and streamed rows meet
+/// in both orders inside one pair, as an odd tail, and as a single term.
 template <typename BinT>
 void check_decode_lincomb_multi(const KernelTable& t) {
   std::mt19937_64 rng(4343);
   std::uniform_real_distribution<double> weight(-2.0, 2.0);
   const std::vector<std::vector<index_t>> outputs = {
-      {0}, {1, 1}, {0, 1, 2}, {3, 0, 3, 2, 1}, {2, 2, 2, 2}};
+      {0},          {1, 1},          {0, 1, 2},
+      {3, 0, 3, 2, 1}, {2, 2, 2, 2},    {4, 0},
+      {0, 5},       {4, 5, 6},       {6},
+      {5, 0, 1, 6, 4}, {0, 1, 4}};
+  constexpr index_t kRows = 7;
   std::vector<index_t> term_rows, offsets = {0};
   for (const auto& terms : outputs) {
     term_rows.insert(term_rows.end(), terms.begin(), terms.end());
@@ -365,7 +379,7 @@ void check_decode_lincomb_multi(const KernelTable& t) {
   }
   const index_t num_outputs = static_cast<index_t>(outputs.size());
   for (index_t count : kCounts) {
-    std::vector<std::vector<BinT>> rows(4);
+    std::vector<std::vector<BinT>> rows(kRows);
     std::vector<const BinT*> row_ptrs;
     for (auto& row : rows) {
       row.resize(static_cast<std::size_t>(count));
@@ -376,25 +390,28 @@ void check_decode_lincomb_multi(const KernelTable& t) {
     }
     std::vector<double> scales(term_rows.size());
     for (double& s : scales) s = weight(rng);
-    std::vector<double> decoded(rows.size() * static_cast<std::size_t>(count));
-    std::vector<double> out(static_cast<std::size_t>(num_outputs * count));
-    std::vector<double*> out_rows;
-    for (index_t k = 0; k < num_outputs; ++k)
-      out_rows.push_back(out.data() + k * count);
-    kernels::bins<BinT>(t).decode_lincomb_multi(
-        row_ptrs.data(), static_cast<index_t>(rows.size()), scales.data(),
-        term_rows.data(), offsets.data(), num_outputs, count, decoded.data(),
-        out_rows.data());
-    for (index_t k = 0; k < num_outputs; ++k) {
-      std::vector<const BinT*> term_ptrs;
-      for (index_t i = offsets[k]; i < offsets[k + 1]; ++i)
-        term_ptrs.push_back(row_ptrs[static_cast<std::size_t>(term_rows[i])]);
-      std::vector<double> ref(static_cast<std::size_t>(count));
-      kernels::decode_lincomb(term_ptrs.data(), scales.data() + offsets[k],
-                              offsets[k + 1] - offsets[k], count, ref.data());
-      for (index_t j = 0; j < count; ++j)
-        ASSERT_TRUE(BitEqual(out_rows[k][j], ref[j]))
-            << "output " << k << " count " << count << " j " << j;
+    for (index_t num_staged : {index_t{0}, index_t{4}, kRows}) {
+      std::vector<double> decoded(
+          static_cast<std::size_t>(num_staged * count));
+      std::vector<double> out(static_cast<std::size_t>(num_outputs * count));
+      std::vector<double*> out_rows;
+      for (index_t k = 0; k < num_outputs; ++k)
+        out_rows.push_back(out.data() + k * count);
+      kernels::bins<BinT>(t).decode_lincomb_multi(
+          row_ptrs.data(), num_staged, scales.data(), term_rows.data(),
+          offsets.data(), num_outputs, count, decoded.data(), out_rows.data());
+      for (index_t k = 0; k < num_outputs; ++k) {
+        std::vector<const BinT*> term_ptrs;
+        for (index_t i = offsets[k]; i < offsets[k + 1]; ++i)
+          term_ptrs.push_back(row_ptrs[static_cast<std::size_t>(term_rows[i])]);
+        std::vector<double> ref(static_cast<std::size_t>(count));
+        kernels::decode_lincomb(term_ptrs.data(), scales.data() + offsets[k],
+                                offsets[k + 1] - offsets[k], count, ref.data());
+        for (index_t j = 0; j < count; ++j)
+          ASSERT_TRUE(BitEqual(out_rows[k][j], ref[j]))
+              << "output " << k << " staged " << num_staged << " count "
+              << count << " j " << j;
+      }
     }
   }
 }

@@ -288,10 +288,49 @@ TEST(LincombBatch, OperandDedupCounters) {
       << "a value-equal copy must count as a distinct operand";
 }
 
+TEST(LincombBatch, BatchMatchesSequentialWithStagedAndStreamedOperands) {
+  // a and b feed several terms, so the kernel stages them; c feeds one term
+  // and streams from its bins.  c leads the first request, so planning moves
+  // it behind the staged rows and remaps every term.  Per-request lincomb
+  // stages nothing here, so each output checks a staged/streamed mix (in
+  // both orders within a pair, a staged tail, a staged single term) against
+  // the all-streamed path.
+  ParallelGuard guard;
+  Compressor compressor(
+      settings_for(Shape{8, 8}, FloatType::kFloat32, IndexType::kInt16));
+  Rng rng(31);
+  std::vector<CompressedArray> arrays;
+  for (int i = 0; i < 3; ++i)
+    arrays.push_back(compressor.compress(random_smooth(Shape{40, 36}, rng, 5)));
+  const CompressedArray* a = &arrays[0];
+  const CompressedArray* b = &arrays[1];
+  const CompressedArray* c = &arrays[2];
+  const std::vector<std::vector<const CompressedArray*>> operand_lists = {
+      {c, a, b}, {b, a}, {a}};
+  const std::vector<std::vector<double>> weight_lists = {
+      {0.5, -1.0, 0.25}, {1.5, 0.75}, {-2.0}};
+  std::vector<ops::LincombRequest> requests;
+  for (std::size_t k = 0; k < operand_lists.size(); ++k)
+    requests.push_back(
+        {std::span<const CompressedArray* const>(operand_lists[k]),
+         std::span<const double>(weight_lists[k]), 0.0});
+  parallel::set_num_threads(1);
+  const std::vector<CompressedArray> reference = sequential_eval(requests);
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    const std::vector<CompressedArray> batched = ops::lincomb_batch(requests);
+    ASSERT_EQ(batched.size(), reference.size());
+    for (std::size_t k = 0; k < reference.size(); ++k)
+      expect_bit_identical(batched[k], reference[k],
+                           "threads=" + std::to_string(threads) + " output " +
+                               std::to_string(k));
+  }
+}
+
 TEST(LincombBatch, NothingSharedAvoidsNoDecodes) {
-  // Two disjoint expressions: nothing to amortize, so the batch runs the
-  // single-output kernel per output and avoids zero decodes — results
-  // identical to per-request evaluation, one terminal rebin per output.
+  // Two disjoint expressions: nothing to amortize, so the batch stages no
+  // row and avoids zero decodes — results identical to per-request
+  // evaluation, one terminal rebin per output.
   Compressor compressor(settings_for(Shape{8, 8}));
   Rng rng(23);
   std::vector<CompressedArray> arrays;

@@ -5,7 +5,6 @@
 #include "core/ops/expr.hpp"
 #include "core/ops/ops.hpp"
 #include "core/ops/ops_internal.hpp"
-#include "core/parallel/thread_pool.hpp"
 
 namespace pyblaz::ops {
 
@@ -14,21 +13,13 @@ namespace internal {
 std::vector<double> blockwise_mean_vector(const CompressedArray& a) {
   require_dc(a, "blockwise mean");
   a.require_flushed("blockwise mean");
-  const index_t num_blocks = a.num_blocks();
-  const index_t kept = a.kept_per_block();
   const double r = static_cast<double>(a.radius());
   const double c = dc_scale(a.block_shape);
-  std::vector<double> means(static_cast<std::size_t>(num_blocks));
-  a.indices.visit([&](const auto* f) {
-    parallel::parallel_for(
-        0, num_blocks, parallel::default_grain(num_blocks),
-        [&](index_t begin, index_t end) {
-          for (index_t kb = begin; kb < end; ++kb) {
-            const double dc = a.biggest[static_cast<std::size_t>(kb)] *
-                              static_cast<double>(f[kb * kept]) / r;
-            means[static_cast<std::size_t>(kb)] = dc / c;
-          }
-        });
+  std::vector<double> means(static_cast<std::size_t>(a.num_blocks()));
+  for_each_block(a, [&](index_t kb, const auto* f) {
+    const double dc =
+        a.biggest[static_cast<std::size_t>(kb)] * static_cast<double>(f[0]) / r;
+    means[static_cast<std::size_t>(kb)] = dc / c;
   });
   return means;
 }
@@ -38,22 +29,14 @@ std::vector<double> blockwise_mean_vector(const CompressedArray& a) {
 void specified_coefficients_into(const CompressedArray& a,
                                  std::span<double> out) {
   a.require_flushed("specified_coefficients");
-  const index_t num_blocks = a.num_blocks();
   const index_t kept = a.kept_per_block();
   const double r = static_cast<double>(a.radius());
-  if (out.size() < static_cast<std::size_t>(num_blocks * kept))
+  if (out.size() < static_cast<std::size_t>(a.num_blocks() * kept))
     throw std::invalid_argument(
         "specified_coefficients_into: output span too small");
-
-  a.indices.visit([&](const auto* fdata) {
-    parallel::parallel_for(
-        0, num_blocks, parallel::default_grain(num_blocks),
-        [&](index_t begin, index_t end) {
-          for (index_t kb = begin; kb < end; ++kb)
-            kernels::unbin_block(fdata + kb * kept, kept,
-                                 a.biggest[static_cast<std::size_t>(kb)] / r,
-                                 out.data() + kb * kept);
-        });
+  internal::for_each_block(a, [&](index_t kb, const auto* f) {
+    kernels::unbin_block(f, kept, a.biggest[static_cast<std::size_t>(kb)] / r,
+                         out.data() + kb * kept);
   });
 }
 
